@@ -90,8 +90,8 @@ def run_bench():
                              sketches=False).execute(POINT_EXACT)
         sketch = QueryService(env, indexes=False,
                               sketches=True).execute(POINT_APPROX)
-        assert sketch.approx_answered, keys
-        assert index.index_probes > 0, keys
+        assert sketch.counters["approx_queries_answered"], keys
+        assert index.counters["index_probes"] > 0, keys
         truth = scan.result.rows[0]["n"]
         estimate = sketch.result.rows[0]["n"]
         curve_rows.append([
@@ -122,7 +122,7 @@ def run_bench():
                               sketches=True).execute(approx_sql)
         exact = QueryService(top_env, indexes=False,
                              sketches=False).execute(exact_sql)
-        assert approx.approx_answered, label
+        assert approx.counters["approx_queries_answered"], label
         row = approx.result.rows[0]
         estimate, bound = row[column], row["error_bound"]
         truth = exact.result.rows[0][column]
@@ -132,7 +132,7 @@ def run_bench():
             label,
             f"{estimate:,.1f}", f"{truth:,.1f}",
             f"{error_pct:.2f}%", f"{bound:,.1f}",
-            approx.sketch_probes,
+            approx.counters["sketch_probes"],
             f"{approx.latency_ms:.2f}", f"{exact.latency_ms:.2f}",
             f"{speedup:.0f}x",
         ])
@@ -141,7 +141,7 @@ def run_bench():
             "truth": truth,
             "bound": bound,
             "error_pct": error_pct,
-            "probes": approx.sketch_probes,
+            "probes": approx.counters["sketch_probes"],
             "latency_approx": approx.latency_ms,
             "latency_exact": exact.latency_ms,
             "speedup": speedup,

@@ -71,14 +71,15 @@ def run_bench():
             on, off = runs[True], runs[False]
             assert on.result.columns == off.result.columns, (label, keys)
             assert on.result.rows == off.result.rows, (label, keys)
-            assert on.bytes_shipped == off.bytes_shipped, (label, keys)
+            assert on.counters["query_bytes_shipped"] \
+                == off.counters["query_bytes_shipped"], (label, keys)
             # The gate is real: only the vectorized run compiles and
             # batches; the baseline never touches the compiled path.
-            assert on.batches_evaluated > 0, (label, keys)
-            assert on.predicates_compiled + on.compile_cache_hits > 0, \
-                (label, keys)
-            assert off.batches_evaluated == 0, (label, keys)
-            assert off.predicates_compiled == 0, (label, keys)
+            assert on.counters["batches_evaluated"] > 0, (label, keys)
+            assert on.counters["predicates_compiled"] \
+                + on.counters["compile_cache_hits"] > 0, (label, keys)
+            assert off.counters["batches_evaluated"] == 0, (label, keys)
+            assert off.counters["predicates_compiled"] == 0, (label, keys)
             speedup = off.latency_ms / max(on.latency_ms, 1e-9)
             scan_speedup = (off.scan_ms_billed
                             / max(on.scan_ms_billed, 1e-9))
@@ -88,7 +89,8 @@ def run_bench():
                 f"{speedup:.2f}x",
                 f"{on.scan_ms_billed:.2f}", f"{off.scan_ms_billed:.2f}",
                 f"{scan_speedup:.2f}x",
-                on.batches_evaluated, on.predicates_compiled,
+                on.counters["batches_evaluated"],
+                on.counters["predicates_compiled"],
             ])
             metrics[(label, keys)] = {
                 "speedup": speedup,

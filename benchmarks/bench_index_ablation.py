@@ -78,12 +78,12 @@ def run_bench():
             label,
             f"{on.entries_scanned:,}", f"{off.entries_scanned:,}",
             f"{ratio:.1f}x",
-            on.index_probes,
+            on.counters["index_probes"],
             f"{on.latency_ms:.2f}", f"{off.latency_ms:.2f}",
         ])
         metrics[label] = {
             "scan_ratio": ratio,
-            "probes": on.index_probes,
+            "probes": on.counters["index_probes"],
             "latency_on": on.latency_ms,
             "latency_off": off.latency_ms,
         }

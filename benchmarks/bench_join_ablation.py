@@ -109,12 +109,14 @@ def run_bench():
             assert off.join_strategies == ["central"], \
                 (label, off.join_strategies)
             speedup = off.latency_ms / max(on.latency_ms, 1e-9)
-            bytes_ratio = off.bytes_shipped / max(on.bytes_shipped, 1)
+            on_bytes = on.counters["query_bytes_shipped"]
+            off_bytes = off.counters["query_bytes_shipped"]
+            bytes_ratio = off_bytes / max(on_bytes, 1)
             rows.append([
                 label, f"{orders:,}",
                 f"{on.latency_ms:.2f}", f"{off.latency_ms:.2f}",
                 f"{speedup:.2f}x",
-                f"{on.bytes_shipped:,}", f"{off.bytes_shipped:,}",
+                f"{on_bytes:,}", f"{off_bytes:,}",
                 f"{bytes_ratio:.1f}x",
             ])
             metrics[(label, orders)] = {

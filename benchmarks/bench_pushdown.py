@@ -78,15 +78,19 @@ def run_bench():
         assert on.result.columns == off.result.columns, label
         assert on.result.rows == off.result.rows, label
         assert on.result.rows == interp.result.rows, label
-        assert on.bytes_shipped == interp.bytes_shipped, label
-        assert on.rows_shipped == interp.rows_shipped, label
-        ratio = off.bytes_shipped / max(on.bytes_shipped, 1)
+        on_bytes = on.counters["query_bytes_shipped"]
+        off_bytes = off.counters["query_bytes_shipped"]
+        assert on_bytes == interp.counters["query_bytes_shipped"], label
+        assert on.counters["query_rows_shipped"] \
+            == interp.counters["query_rows_shipped"], label
+        ratio = off_bytes / max(on_bytes, 1)
         scan_ratio = interp.scan_ms_billed / max(on.scan_ms_billed, 1e-9)
         rows.append([
             label,
-            f"{on.bytes_shipped:,}", f"{off.bytes_shipped:,}",
+            f"{on_bytes:,}", f"{off_bytes:,}",
             f"{ratio:.1f}x",
-            on.rows_shipped, off.rows_shipped,
+            on.counters["query_rows_shipped"],
+            off.counters["query_rows_shipped"],
             f"{on.latency_ms:.2f}", f"{off.latency_ms:.2f}",
             f"{scan_ratio:.1f}x",
         ])

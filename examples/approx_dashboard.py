@@ -68,13 +68,14 @@ def main() -> None:
         lhs = approx.execute(approx_sql)
         rhs = exact.execute(exact_sql)
         row = lhs.result.rows[0]
-        path = "sketch" if lhs.approx_answered else "exact fallback"
+        path = ("sketch" if lhs.counters["approx_queries_answered"]
+                else "exact fallback")
         print(f"\n{label}  [{path}]")
         print(f"  approx {row[column]:>12,.1f}  "
               f"+/- {row['error_bound']:,.1f} "
               f"@ {row['confidence']:.0%}  "
               f"({lhs.latency_ms:.2f} ms, "
-              f"{lhs.sketch_probes} probes)")
+              f"{lhs.counters['sketch_probes']} probes)")
         print(f"  exact  {rhs.result.rows[0][column]:>12,.1f}  "
               f"({rhs.latency_ms:.2f} ms, "
               f"{rhs.entries_scanned:,} rows scanned)")

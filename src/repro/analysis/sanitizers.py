@@ -285,11 +285,12 @@ class SanitizerRuntime:
                 f"{execution.snapshot_id} under read-uncommitted "
                 "accounting",
             )
-        if execution.rows_shipped > 0 and execution.bytes_shipped <= 0:
+        shipped = execution.counters["query_rows_shipped"]
+        if shipped > 0 and execution.counters["query_bytes_shipped"] <= 0:
             self._record(
                 "unbilled-ship",
                 f"query {execution.qid} shipped "
-                f"{execution.rows_shipped} rows but billed zero bytes",
+                f"{shipped} rows but billed zero bytes",
             )
 
     # -- dead-node scheduling ----------------------------------------------

@@ -1,4 +1,4 @@
-"""Cluster and job observability: utilisation and traffic reports.
+"""Cluster and job observability: counters and utilisation reports.
 
 Benchmarks and operators of the reproduction often need to know *why* a
 configuration behaves as it does — which worker pools are saturated,
@@ -6,14 +6,115 @@ how busy the store partition threads are, how much the network carried,
 how often key locks contended.  :func:`collect_report` gathers all of
 that into one structured snapshot, and :func:`format_report` renders it
 as an aligned table.
+
+Every counter the report carries is declared once, in
+:data:`COUNTERS`.  Query counters are incremented on each
+``QueryExecution.counters`` and rolled up, by ``Counter.update``, into
+``QueryService.counters`` when the query finishes and into
+``ClusterReport.counters`` when the report is collected; gauges are
+read from the cluster, store and subsystems at collection time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .bench.report import format_table
 from .env import Environment
+
+#: Counted per query (the fault-tolerance trio per service) and rolled
+#: up through ``QueryService.counters`` into the report.
+QUERY_COUNTERS: dict[str, str] = {
+    "query_retries": "shards rescheduled onto survivors after a node death",
+    "query_aborts": "queries failed fast: entry-node death, retry budget "
+                    "exhausted, or timeout",
+    "query_timeouts": "subset of aborts caused by the watchdog timeout",
+    "query_rows_shipped": "rows shipped to entry nodes (drives merge "
+                          "billing)",
+    "query_bytes_shipped": "payload bytes of scan results and join "
+                           "exchanges",
+    "query_partitions_pruned": "store partitions skipped by key/range "
+                               "pruning",
+    "index_probes": "secondary-index probes issued",
+    "index_rows_read": "candidate rows fetched through an index",
+    "rows_skipped_by_index": "rows an index-backed scan never touched",
+    "sketch_probes": "sketch probes issued by APPROX aggregates",
+    "approx_queries_answered": "queries answered from sketches",
+    "predicates_compiled": "pushed conjuncts compiled into closures "
+                           "(compile-cache misses)",
+    "batches_evaluated": "scan chunks evaluated as columnar batches",
+    "compile_cache_hits": "fragment compilations served by the cache",
+    "joins_copartitioned": "join steps run co-partitioned",
+    "joins_broadcast": "join steps run as broadcast hash joins",
+    "joins_shuffle": "join steps run as shuffle hash joins",
+    "joins_index_nested": "join steps run as index-nested-loop joins",
+    "joins_central": "join steps run centrally on the entry node",
+    "join_build_rows": "rows fed into distributed join build indexes",
+    "join_bytes_broadcast": "build-package bytes replicated by broadcast "
+                            "steps",
+    "join_bytes_shuffled": "bytes repartitioned by shuffle steps",
+}
+
+#: Read from the cluster, store and subsystems by :func:`collect_report`.
+GAUGES: dict[str, str] = {
+    "network_messages": "network messages sent",
+    "network_bytes": "network bytes sent",
+    "lock_acquisitions": "key-lock acquisitions",
+    "lock_contentions": "key-lock acquisitions that had to wait",
+    "locks_held": "key locks held at collection time",
+    "open_channels": "FIFO network channels open at collection time",
+    "index_maintenance_ops": "secondary-index write-path updates",
+    "index_maintenance_cost": "simulated ms billed for index maintenance",
+    "sketch_maintenance_ops": "sketch write-path updates",
+    "sketch_maintenance_cost": "simulated ms billed for sketch "
+                               "maintenance",
+    "like_cache_hits": "compiled-LIKE cache hits (process-wide)",
+    "like_cache_misses": "compiled-LIKE cache misses (process-wide)",
+    "active_subscriptions": "continuous-query subscriptions open",
+    "changes_captured": "state changes captured for continuous queries",
+    "deltas_pushed": "result deltas pushed to subscribers",
+    "push_batches_sent": "push batches sent to subscribers",
+    "push_batches_coalesced": "pending deltas collapsed into a snapshot "
+                              "(full queue or backpressure)",
+    "subscription_rescans": "standing-query rescans started",
+    "shared_plans": "deduplicated standing plans",
+    "subscriptions_per_plan_max": "subscribers on the most shared plan",
+    "subscriptions_per_plan_mean": "mean subscribers per shared plan",
+    "router_deltas_routed": "deltas routed to subscribers by residual",
+    "residual_filter_drops": "deltas dropped by subscriber residual "
+                             "filters",
+    "coalesced_batches": "batches merged into a shared network message",
+    "slow_consumers_evicted": "subscribers evicted for stalling",
+    "plan_maintenance_ops": "standing-plan applies",
+    "plan_maintenance_cost": "simulated ms billed for plan maintenance",
+    "sanitizer_violations": "runtime invariant violations detected",
+    "lock_order_edges_observed": "lock-order edges seen by lockdep",
+    "lockdep_violations": "lock-order inversions seen by lockdep",
+}
+
+#: Every counter name and its one-line meaning.
+COUNTERS: dict[str, str] = {**QUERY_COUNTERS, **GAUGES}
+
+
+class CounterSet(Counter):
+    """A :class:`collections.Counter` over the names in :data:`COUNTERS`.
+
+    A registered name reads 0 until counted; writing or reading any
+    other name raises :class:`KeyError` instead of counting it, or
+    reading it as 0, silently.  ``update`` trusts its source, which is
+    itself a ``CounterSet`` in every rollup.
+    """
+
+    def __missing__(self, name: str) -> int:
+        if name in COUNTERS:
+            return 0
+        raise KeyError(f"unregistered counter {name!r}")
+
+    def __setitem__(self, name: str, value) -> None:
+        if name not in COUNTERS:
+            raise KeyError(f"unregistered counter {name!r}")
+        super().__setitem__(name, value)
 
 
 @dataclass(frozen=True)
@@ -32,73 +133,22 @@ class NodeReport:
 
 @dataclass
 class ClusterReport:
-    """A point-in-time utilisation snapshot of the whole deployment."""
+    """A point-in-time utilisation snapshot of the whole deployment.
+
+    Every registered counter also reads as an attribute:
+    ``report.network_bytes`` is ``report.counters["network_bytes"]``.
+    """
 
     horizon_ms: float
     nodes: list[NodeReport] = field(default_factory=list)
-    network_messages: int = 0
-    network_bytes: int = 0
-    lock_acquisitions: int = 0
-    lock_contentions: int = 0
-    locks_held: int = 0
-    open_channels: int = 0
-    # query fault tolerance (zero when no failures were injected)
-    query_retries: int = 0
-    query_aborts: int = 0
-    query_timeouts: int = 0
-    # distributed query execution (pushdown / pruning effectiveness)
-    query_rows_shipped: int = 0
-    query_bytes_shipped: int = 0
-    query_partitions_pruned: int = 0
-    # secondary indexes (access paths and write-path maintenance)
-    index_probes: int = 0
-    index_rows_read: int = 0
-    rows_skipped_by_index: int = 0
-    index_maintenance_ops: int = 0
-    index_maintenance_cost: float = 0.0
-    # approximate query answering (sketch probes and maintenance)
-    sketch_probes: int = 0
-    approx_queries_answered: int = 0
-    sketch_maintenance_ops: int = 0
-    sketch_maintenance_cost: float = 0.0
-    # vectorized columnar scan execution (compile-once fragments)
-    predicates_compiled: int = 0
-    batches_evaluated: int = 0
-    compile_cache_hits: int = 0
-    # distributed joins (steps per chosen physical strategy)
-    joins_copartitioned: int = 0
-    joins_broadcast: int = 0
-    joins_shuffle: int = 0
-    joins_index_nested: int = 0
-    joins_central: int = 0
-    join_build_rows: int = 0
-    join_bytes_broadcast: int = 0
-    join_bytes_shuffled: int = 0
-    # compiled-LIKE pattern cache (process-wide, LRU-bounded)
-    like_cache_hits: int = 0
-    like_cache_misses: int = 0
-    # continuous queries (zero when the subsystem is unused)
-    active_subscriptions: int = 0
-    changes_captured: int = 0
-    deltas_pushed: int = 0
-    push_batches_sent: int = 0
-    push_batches_coalesced: int = 0
-    subscription_rescans: int = 0
-    # continuous-query fan-out (plan dedup + router + tiered delivery)
-    shared_plans: int = 0
-    subscriptions_per_plan_max: int = 0
-    subscriptions_per_plan_mean: float = 0.0
-    router_deltas_routed: int = 0
-    residual_filter_drops: int = 0
-    coalesced_batches: int = 0
-    slow_consumers_evicted: int = 0
-    plan_maintenance_ops: int = 0
-    plan_maintenance_cost: float = 0.0
-    # runtime sanitizers (zero unless armed via SanitizerConfig)
-    sanitizer_violations: int = 0
-    # lockdep: lock-acquisition-order tracking (zero unless armed)
-    lock_order_edges_observed: int = 0
-    lockdep_violations: int = 0
+    counters: CounterSet = field(default_factory=CounterSet)
+
+    def __getattr__(self, name: str):
+        if name in COUNTERS:
+            return self.counters[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     def hottest_pool(self) -> tuple[int, str, float]:
         """(node, pool kind, utilisation) of the busiest worker pool."""
@@ -133,81 +183,62 @@ def collect_report(env: Environment) -> ClusterReport:
             store_utilization=store_busy / store_capacity,
             store_jobs=sum(s.jobs_served for s in node.store_servers),
         ))
-    report.network_messages = env.cluster.network.messages_sent
-    report.network_bytes = env.cluster.network.bytes_sent
-    report.lock_acquisitions = env.store.locks.acquisitions
-    report.lock_contentions = env.store.locks.contentions
-    report.locks_held = env.store.locks.held_count
-    report.open_channels = env.cluster.network.open_channels
+    counters = report.counters
+    network = env.cluster.network
+    counters["network_messages"] = network.messages_sent
+    counters["network_bytes"] = network.bytes_sent
+    counters["open_channels"] = network.open_channels
+    locks = env.store.locks
+    counters["lock_acquisitions"] = locks.acquisitions
+    counters["lock_contentions"] = locks.contentions
+    counters["locks_held"] = locks.held_count
     for service in getattr(env, "query_services", ()):
-        report.query_retries += service.query_retries
-        report.query_aborts += service.query_aborts
-        report.query_timeouts += service.query_timeouts
-        report.query_rows_shipped += service.rows_shipped_total
-        report.query_bytes_shipped += service.bytes_shipped_total
-        report.query_partitions_pruned += service.partitions_pruned_total
-        report.index_probes += service.index_probes_total
-        report.index_rows_read += service.index_rows_read_total
-        report.rows_skipped_by_index += service.rows_skipped_by_index_total
-        report.sketch_probes += service.sketch_probes_total
-        report.approx_queries_answered += \
-            service.approx_queries_answered_total
-        report.predicates_compiled += service.predicates_compiled_total
-        report.batches_evaluated += service.batches_evaluated_total
-        report.compile_cache_hits += service.compile_cache_hits_total
-        report.joins_copartitioned += service.joins_copartitioned_total
-        report.joins_broadcast += service.joins_broadcast_total
-        report.joins_shuffle += service.joins_shuffle_total
-        report.joins_index_nested += service.joins_index_nested_total
-        report.joins_central += service.joins_central_total
-        report.join_build_rows += service.join_build_rows_total
-        report.join_bytes_broadcast += service.join_bytes_broadcast_total
-        report.join_bytes_shuffled += service.join_bytes_shuffled_total
-    report.index_maintenance_ops = env.store.index_maintenance_ops()
-    report.index_maintenance_cost = (
-        report.index_maintenance_ops * env.costs.index_maintain_entry_ms
+        counters.update(service.counters)
+    counters["index_maintenance_ops"] = env.store.index_maintenance_ops()
+    counters["index_maintenance_cost"] = (
+        counters["index_maintenance_ops"] * env.costs.index_maintain_entry_ms
     )
-    report.sketch_maintenance_ops = env.store.sketch_maintenance_ops()
-    report.sketch_maintenance_cost = (
-        report.sketch_maintenance_ops * env.costs.sketch_maintain_entry_ms
+    counters["sketch_maintenance_ops"] = env.store.sketch_maintenance_ops()
+    counters["sketch_maintenance_cost"] = (
+        counters["sketch_maintenance_ops"]
+        * env.costs.sketch_maintain_entry_ms
     )
     continuous = getattr(env, "continuous", None)
     if continuous is not None:
-        report.active_subscriptions = continuous.active_subscriptions
-        report.changes_captured = continuous.recorder.changes_captured
-        report.deltas_pushed = continuous.deltas_pushed
-        report.push_batches_sent = continuous.batches_sent
-        report.push_batches_coalesced = continuous.batches_coalesced
-        report.subscription_rescans = continuous.rescans_run
-        report.shared_plans = len(continuous.plans)
+        counters["active_subscriptions"] = continuous.active_subscriptions
+        counters["changes_captured"] = continuous.recorder.changes_captured
+        counters["deltas_pushed"] = continuous.deltas_pushed
+        counters["push_batches_sent"] = continuous.batches_sent
+        counters["push_batches_coalesced"] = continuous.batches_coalesced
+        counters["subscription_rescans"] = continuous.rescans_run
+        counters["shared_plans"] = len(continuous.plans)
         sizes = [
             plan.subscriber_count
             for plan in continuous.plans.values()
         ]
         if sizes:
-            report.subscriptions_per_plan_max = max(sizes)
-            report.subscriptions_per_plan_mean = sum(sizes) / len(sizes)
-        report.router_deltas_routed = continuous.router.deltas_routed
-        report.residual_filter_drops = \
+            counters["subscriptions_per_plan_max"] = max(sizes)
+            counters["subscriptions_per_plan_mean"] = sum(sizes) / len(sizes)
+        counters["router_deltas_routed"] = continuous.router.deltas_routed
+        counters["residual_filter_drops"] = \
             continuous.router.residual_filter_drops
-        report.coalesced_batches = continuous.coalesced_batches
-        report.slow_consumers_evicted = continuous.slow_consumers_evicted
-        report.plan_maintenance_ops = continuous.plan_maintenance_ops
-        report.plan_maintenance_cost = continuous.plan_maintenance_ms
+        counters["coalesced_batches"] = continuous.coalesced_batches
+        counters["slow_consumers_evicted"] = continuous.slow_consumers_evicted
+        counters["plan_maintenance_ops"] = continuous.plan_maintenance_ops
+        counters["plan_maintenance_cost"] = continuous.plan_maintenance_ms
     # Process-wide cache (shared across environments), documented as
     # such: the counters are cumulative for the process.
     from .sql.executor import like_cache_stats
 
-    like_hits, like_misses = like_cache_stats()
-    report.like_cache_hits = like_hits
-    report.like_cache_misses = like_misses
+    counters["like_cache_hits"], counters["like_cache_misses"] = \
+        like_cache_stats()
     sanitizers = getattr(env, "sanitizers", None)
     if sanitizers is not None:
-        report.sanitizer_violations = len(sanitizers.violations)
-        report.lock_order_edges_observed = getattr(
+        counters["sanitizer_violations"] = len(sanitizers.violations)
+        counters["lock_order_edges_observed"] = getattr(
             sanitizers, "lock_order_edges_observed", 0
         )
-        report.lockdep_violations = getattr(
+        counters["lockdep_violations"] = getattr(
             sanitizers, "lockdep_violations", 0
         )
     return report

@@ -283,7 +283,7 @@ def plan_distributed_joins(service, record) -> JoinPlan | None:
         # One central step makes the whole statement central: the entry
         # node needs every table's rows anyway, so a mixed pipeline
         # would only add stages without saving shipping.
-        execution.joins_central += len(select.joins)
+        execution.counters["joins_central"] += len(select.joins)
         execution.join_strategies = ["central"] * len(select.joins)
         return None
     steps, paths = chosen
@@ -292,15 +292,15 @@ def plan_distributed_joins(service, record) -> JoinPlan | None:
     excluded = set()
     for step, path in zip(steps, paths):
         if path.strategy == "copartitioned":
-            execution.joins_copartitioned += 1
+            execution.counters["joins_copartitioned"] += 1
             local.add(step.table)
         elif path.strategy == "broadcast":
-            execution.joins_broadcast += 1
+            execution.counters["joins_broadcast"] += 1
         elif path.strategy == "shuffle":
-            execution.joins_shuffle += 1
+            execution.counters["joins_shuffle"] += 1
             local.add(step.table)
         elif path.strategy == "index-nested-loop":
-            execution.joins_index_nested += 1
+            execution.counters["joins_index_nested"] += 1
             excluded.add(step.table)
     return JoinPlan(
         steps=steps,
@@ -546,7 +546,7 @@ class _PipelineRunner:
         raw_by_node = self._payload_rows(step.table)
         rights = self._tagged_rights(step, raw_by_node)
         self.scanned += len(rights)
-        self.execution.join_build_rows += len(rights)
+        self.execution.counters["join_build_rows"] += len(rights)
         right_columns = collect_right_columns(
             [row for _tag, row in rights]
         )
@@ -675,8 +675,8 @@ class _PipelineRunner:
             holders = sorted(self.left)
             countdown = _Countdown(len(holders), probes_done)
             for node_id in holders:
-                execution.join_bytes_broadcast += build_bytes
-                execution.bytes_shipped += build_bytes
+                execution.counters["join_bytes_broadcast"] += build_bytes
+                execution.counters["query_bytes_shipped"] += build_bytes
                 self._send(entry, node_id, "join-bcast", index,
                            build_bytes, self._broadcast_arrived, index,
                            step, node_id, build_index, right_columns,
@@ -804,8 +804,8 @@ class _PipelineRunner:
         arrivals = _Countdown(len(pairs), all_arrived)
         for sender, worker in pairs:
             nbytes = transfer[sender, worker]
-            execution.join_bytes_shuffled += nbytes
-            execution.bytes_shipped += nbytes
+            execution.counters["join_bytes_shuffled"] += nbytes
+            execution.counters["query_bytes_shipped"] += nbytes
             self._send(sender, worker, "join-shuffle", index, nbytes,
                        arrivals.one)
 
@@ -855,8 +855,8 @@ class _PipelineRunner:
             partitions = table.partitions_on_node(node_id)
             candidates = table.index_rows(partitions, column, probe,
                                           *args)
-            execution.index_probes += len(partitions)
-            execution.index_rows_read += len(candidates)
+            execution.counters["index_probes"] += len(partitions)
+            execution.counters["index_rows_read"] += len(candidates)
             if fragment is not None:
                 try:
                     lock_rows, payload, _batches = run_fragment_batches(
@@ -899,7 +899,7 @@ class _PipelineRunner:
                 return
             rights = self._tagged_rights(step, surviving)
             self.scanned += len(rights)
-            execution.join_build_rows += len(rights)
+            execution.counters["join_build_rows"] += len(rights)
             right_columns = collect_right_columns(
                 [row for _tag, row in rights]
             )
@@ -913,7 +913,7 @@ class _PipelineRunner:
         arrivals = _Countdown(len(senders), assembled)
         for node_id in senders:
             nbytes = self._raw_bytes(surviving[node_id])
-            execution.bytes_shipped += nbytes
+            execution.counters["query_bytes_shipped"] += nbytes
             self._send(node_id, entry, "join-inlj", index, nbytes,
                        arrivals.one)
 
@@ -933,7 +933,7 @@ class _PipelineRunner:
             if not self._live():
                 return
             execution.entries_scanned = self.state["scanned"]
-            duration = (execution.rows_shipped
+            duration = (execution.counters["query_rows_shipped"]
                         * self.costs.merge_row_ms)
             pool = service.cluster.node(entry).query_pool
             pool.submit(("query", execution.qid), duration,
@@ -943,8 +943,8 @@ class _PipelineRunner:
         for node_id in holders:
             rows = self.left[node_id]
             nbytes = self._bound_bytes(rows)
-            execution.rows_shipped += len(rows)
-            execution.bytes_shipped += nbytes
+            execution.counters["query_rows_shipped"] += len(rows)
+            execution.counters["query_bytes_shipped"] += nbytes
             self._send(node_id, entry, "join-result", -1, nbytes,
                        arrivals.one)
             shipped.extend(rows)

@@ -45,6 +45,7 @@ from ..errors import (
     QueryTimeoutError,
     SnapshotNotFoundError,
 )
+from ..observability import CounterSet
 from ..sql import EvalContext, parse
 from ..sql.ast import Binary, Column, Expr, Literal, Select, Union
 from ..sql.batch import run_fragment_batches
@@ -107,49 +108,9 @@ class QueryExecution:
         self.completed_ms: float | None = None
         self.result: QueryResult | None = None
         self.error: Exception | None = None
-        self.rows_shipped = 0
-        #: Network payload bytes of shipped scan results.  Under
-        #: pushdown this is billed from the actual surviving columns /
-        #: partial-group states; the legacy path bills a flat
-        #: ``row_bytes`` per row.
-        self.bytes_shipped = 0
-        #: Store partitions skipped entirely by key/range pruning
-        #: (across all scan attempts).
-        self.partitions_pruned = 0
-        #: Secondary-index probes issued by index-backed shard scans.
-        self.index_probes = 0
-        #: Candidate rows fetched through an index (instead of swept).
-        self.index_rows_read = 0
-        #: Rows an index-backed scan never touched (scan minus
-        #: candidates, summed over indexed shards).
-        self.rows_skipped_by_index = 0
-        #: Sketch probes issued by an APPROX aggregate (one per
-        #: partition summarised instead of scanned).
-        self.sketch_probes = 0
-        #: True when the result came from sketches: the answer carries
-        #: ``error_bound`` / ``confidence`` columns instead of touching
-        #: any rows.
-        self.approx_answered = False
-        #: Pushed conjuncts compiled into specialized closures for this
-        #: query (vectorized scan path, compile-cache misses only).
-        self.predicates_compiled = 0
-        #: Scan chunks evaluated as columnar batches.
-        self.batches_evaluated = 0
-        #: Fragment compilations served by the process-wide cache.
-        self.compile_cache_hits = 0
-        #: Per-strategy counts of distributed join steps (a join that
-        #: runs centrally counts every step under ``joins_central``).
-        self.joins_copartitioned = 0
-        self.joins_broadcast = 0
-        self.joins_shuffle = 0
-        self.joins_index_nested = 0
-        self.joins_central = 0
-        #: Rows fed into distributed build indexes across stages.
-        self.join_build_rows = 0
-        #: Build-package bytes replicated by broadcast stages.
-        self.join_bytes_broadcast = 0
-        #: Bytes repartitioned across the wire by shuffle stages.
-        self.join_bytes_shuffled = 0
+        #: Registered query counters (see ``repro.observability``),
+        #: rolled up into ``QueryService.counters`` on finish.
+        self.counters = CounterSet()
         #: Chosen strategy per join step (empty until planned;
         #: ``["central", ...]`` when the statement runs centrally).
         self.join_strategies: list[str] = []
@@ -353,47 +314,9 @@ class QueryService:
         )
         self._entry_rotation = 0
         self.queries_executed = 0
-        #: Rows shipped to entry nodes across all finished queries.
-        self.rows_shipped_total = 0
-        #: Result-shipping bytes across all finished queries.
-        self.bytes_shipped_total = 0
-        #: Store partitions skipped by scan pruning, all queries.
-        self.partitions_pruned_total = 0
-        #: Secondary-index probes across all finished queries.
-        self.index_probes_total = 0
-        #: Rows fetched through indexes across all finished queries.
-        self.index_rows_read_total = 0
-        #: Rows index-backed scans never touched, all finished queries.
-        self.rows_skipped_by_index_total = 0
-        #: Sketch probes across all finished queries.
-        self.sketch_probes_total = 0
-        #: Queries answered from sketches (APPROX fast path).
-        self.approx_queries_answered_total = 0
-        #: Pushed conjuncts compiled into closures, all finished queries.
-        self.predicates_compiled_total = 0
-        #: Columnar scan batches evaluated, all finished queries.
-        self.batches_evaluated_total = 0
-        #: Fragment compile-cache hits, all finished queries.
-        self.compile_cache_hits_total = 0
-        #: Join steps per chosen strategy, all finished queries.
-        self.joins_copartitioned_total = 0
-        self.joins_broadcast_total = 0
-        self.joins_shuffle_total = 0
-        self.joins_index_nested_total = 0
-        self.joins_central_total = 0
-        #: Rows fed into distributed build indexes, all finished queries.
-        self.join_build_rows_total = 0
-        #: Broadcast build-package bytes, all finished queries.
-        self.join_bytes_broadcast_total = 0
-        #: Shuffle repartition bytes, all finished queries.
-        self.join_bytes_shuffled_total = 0
-        #: Shards rescheduled onto survivors after a node death.
-        self.query_retries = 0
-        #: Queries failed fast (entry-node death, retry exhaustion,
-        #: timeout) instead of completing.
-        self.query_aborts = 0
-        #: Subset of aborts caused by the watchdog timeout.
-        self.query_timeouts = 0
+        #: Query counters of all finished queries, plus the retries,
+        #: aborts and timeouts this service counts itself.
+        self.counters = CounterSet()
         self._inflight: dict[int, _InFlight] = {}
         self.cluster.on_node_failure(self._on_node_failure)
         services = getattr(env, "query_services", None)
@@ -707,39 +630,20 @@ class QueryService:
             network.close_channel(channel)
         execution.channels.clear()
         self._inflight.pop(execution.qid, None)
-        self.rows_shipped_total += execution.rows_shipped
-        self.bytes_shipped_total += execution.bytes_shipped
-        self.partitions_pruned_total += execution.partitions_pruned
-        self.index_probes_total += execution.index_probes
-        self.index_rows_read_total += execution.index_rows_read
-        self.rows_skipped_by_index_total += execution.rows_skipped_by_index
-        self.sketch_probes_total += execution.sketch_probes
-        self.predicates_compiled_total += execution.predicates_compiled
-        self.batches_evaluated_total += execution.batches_evaluated
-        self.compile_cache_hits_total += execution.compile_cache_hits
-        self.joins_copartitioned_total += execution.joins_copartitioned
-        self.joins_broadcast_total += execution.joins_broadcast
-        self.joins_shuffle_total += execution.joins_shuffle
-        self.joins_index_nested_total += execution.joins_index_nested
-        self.joins_central_total += execution.joins_central
-        self.join_build_rows_total += execution.join_build_rows
-        self.join_bytes_broadcast_total += execution.join_bytes_broadcast
-        self.join_bytes_shuffled_total += execution.join_bytes_shuffled
-        if execution.approx_answered and error is None:
-            self.approx_queries_answered_total += 1
+        self.counters.update(execution.counters)
         if error is None:
             self.queries_executed += 1
         execution._finish(self.sim.now, result, error)
 
     def _abort(self, execution: QueryExecution,
                error: QueryAbortedError) -> None:
-        self.query_aborts += 1
+        self.counters["query_aborts"] += 1
         self._finish_execution(execution, None, error)
 
     def _watchdog(self, execution: QueryExecution) -> None:
         if execution.done:
             return
-        self.query_timeouts += 1
+        self.counters["query_timeouts"] += 1
         self._abort(execution, QueryTimeoutError(
             f"query exceeded {self.retry_policy.query_timeout_ms} ms "
             f"(submitted at {execution.submitted_ms} ms)"
@@ -776,7 +680,7 @@ class QueryService:
                     ))
                     continue
                 execution.retries += 1
-                self.query_retries += 1
+                self.counters["query_retries"] += 1
                 restart_join(self, record)
                 continue
             affected = [
@@ -792,7 +696,7 @@ class QueryService:
                 ))
                 continue
             execution.retries += 1
-            self.query_retries += 1
+            self.counters["query_retries"] += 1
             for table in affected:
                 self._requeue_table(record, table)
 
@@ -947,7 +851,7 @@ class QueryService:
                 if node_id not in targets:
                     # Node-level pruning: none of the pinned keys live
                     # here, so the whole shard (every partition) skips.
-                    execution.partitions_pruned += \
+                    execution.counters["query_partitions_pruned"] += \
                         self._node_partition_count(table_name, kind,
                                                    node_id)
                     continue
@@ -1120,7 +1024,7 @@ class QueryService:
         state = record.state
         table = self._table_for(table_name, kind)
         partitions = table.partitions_on_node(node_id)
-        execution.sketch_probes += len(partitions)
+        execution.counters["sketch_probes"] += len(partitions)
         node = self.cluster.node(node_id)
         server = node.store_server(
             state["stripe"].get(table_name, 0) + node_id
@@ -1151,11 +1055,12 @@ class QueryService:
         except SnapshotNotFoundError as exc:
             self._finish_execution(execution, None, exc)
             return
-        execution.partitions_pruned += shard.pruned
+        counters = execution.counters
+        counters["query_partitions_pruned"] += shard.pruned
         if shard.indexed:
-            execution.index_probes += shard.probes
-            execution.index_rows_read += shard.entries
-            execution.rows_skipped_by_index += shard.skipped
+            counters["index_probes"] += shard.probes
+            counters["index_rows_read"] += shard.entries
+            counters["rows_skipped_by_index"] += shard.skipped
         fragment = shard.fragment
         entries = shard.entries
         fetch = shard.fetch
@@ -1190,9 +1095,9 @@ class QueryService:
                     per_entry_ms += self.costs.vectorized_partial_agg_entry_ms
                 compiled, cache_hit = fragment.compiled_form()
                 if cache_hit:
-                    execution.compile_cache_hits += 1
+                    counters["compile_cache_hits"] += 1
                 else:
-                    execution.predicates_compiled += len(fragment.pushed)
+                    counters["predicates_compiled"] += len(fragment.pushed)
                     compile_ms = self.costs.predicate_compile_ms
             else:
                 per_entry_ms += self.costs.pushed_filter_entry_ms
@@ -1222,7 +1127,7 @@ class QueryService:
                 # assemble no batch and bill no batch overhead.
                 duration += chunk_fixed_ms
                 if vectorized:
-                    execution.batches_evaluated += 1
+                    counters["batches_evaluated"] += 1
             if remaining == chunks:
                 # Index probes run before the first candidate fetch;
                 # fragment compilation (cache misses only) with them.
@@ -1610,13 +1515,14 @@ class QueryService:
         state = record.state
         if execution.done or state["attempt"][table_name] != attempt:
             return  # stale shipment from a node that died mid-query
+        counters = execution.counters
         if isinstance(payload, int):
-            execution.rows_shipped += payload
+            counters["query_rows_shipped"] += payload
         else:
             state["rows"][table_name][node_id] = payload
             if not isinstance(payload, _ShardError):
-                execution.rows_shipped += len(payload)
-        execution.bytes_shipped += nbytes
+                counters["query_rows_shipped"] += len(payload)
+        counters["query_bytes_shipped"] += nbytes
         state["nodes"][table_name].discard(node_id)
         state["pending"] -= 1
         if state["pending"] == 0:
@@ -1630,7 +1536,8 @@ class QueryService:
     def _merge(self, record: _InFlight) -> None:
         execution = record.execution
         execution.entries_scanned = record.state["scanned"]
-        duration = execution.rows_shipped * self.costs.merge_row_ms
+        duration = (execution.counters["query_rows_shipped"]
+                    * self.costs.merge_row_ms)
         pool = self.cluster.node(execution.entry_node).query_pool
         pool.submit(
             ("query", execution.qid), duration, self._finish, record
@@ -1647,7 +1554,7 @@ class QueryService:
             # Sketch-answered APPROX: the estimate was computed at plan
             # time (sound — see _SketchAnswer); the shards only billed
             # probe costs and shipped markers.
-            execution.approx_answered = True
+            execution.counters["approx_queries_answered"] += 1
             result = QueryResult(
                 columns=list(record.sketch.columns),
                 rows=[dict(record.sketch.row)],

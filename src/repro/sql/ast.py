@@ -160,10 +160,21 @@ class Select:
 class Union:
     """``SELECT ... UNION [ALL] SELECT ...`` — branch results are
     concatenated (``ALL``) or deduplicated, using the first branch's
-    column names.  Useful for combining live and snapshot views."""
+    column names.  Useful for combining live and snapshot views.
+
+    As in SQLite, ORDER BY / LIMIT / OFFSET written after the final
+    branch apply to the whole union and resolve against its output
+    columns."""
 
     branches: tuple[Select, ...]
     all: bool = True
+    order_by: tuple[OrderItem, ...] = ()
+    limit: int | None = None
+    offset: int | None = None
+
+    @property
+    def distinct(self) -> bool:
+        return not self.all
 
     def table_names(self) -> list[str]:
         names: list[str] = []

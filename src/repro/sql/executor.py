@@ -27,7 +27,7 @@ from .ast import (
     collect_aggregates,
     contains_aggregate,
 )
-from .functions import SCALAR_FUNCTIONS, make_aggregate
+from .functions import SCALAR_FUNCTIONS, incomparable, make_aggregate
 from .lru import LruCache
 from .planner import Catalog, JoinStep, Plan, plan_select
 
@@ -99,16 +99,7 @@ def _execute_union(union: "Union", catalog: Catalog,
         for row in result.rows:
             values = [row[column] for column in result.columns]
             rows.append(dict(zip(columns, values)))
-    if not union.all:
-        seen: set[tuple] = set()
-        unique = []
-        for row in rows:
-            key = tuple(_hashable(row[column]) for column in columns)
-            if key in seen:
-                continue
-            seen.add(key)
-            unique.append(row)
-        rows = unique
+    rows = _shape_output(union, rows, columns, context)
     return QueryResult(columns=columns, rows=rows, scanned=scanned)
 
 
@@ -156,7 +147,7 @@ def _approx_exact_output(
     return columns + ["error_bound", "confidence"], shaped
 
 
-def _shape_output(select: Select, out_rows: list[dict],
+def _shape_output(select: Select | Union, out_rows: list[dict],
                   columns: list[str], context: EvalContext) -> list[dict]:
     """The post-projection stages shared by every execution path:
     DISTINCT, ORDER BY, OFFSET/LIMIT, and the final column strip."""
@@ -633,7 +624,7 @@ def _distinct(rows: list[dict], columns: list[str]) -> list[dict]:
     return out
 
 
-def _execute_order(select: Select, rows: list[dict],
+def _execute_order(select: Select | Union, rows: list[dict],
                    context: EvalContext) -> list[dict]:
     def sort_key(row: dict) -> tuple:
         env = dict(row.get("__env__", {}))
@@ -666,7 +657,10 @@ class _Sortable:
     def __lt__(self, other: "_Sortable") -> bool:
         if self.value is None or other.value is None:
             return False
-        return self.value < other.value
+        try:
+            return self.value < other.value
+        except TypeError:
+            raise incomparable(self.value, other.value) from None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Sortable) and self.value == other.value
@@ -676,7 +670,10 @@ class _Reversed(_Sortable):
     def __lt__(self, other: "_Sortable") -> bool:
         if self.value is None or other.value is None:
             return False
-        return other.value < self.value
+        try:
+            return other.value < self.value
+        except TypeError:
+            raise incomparable(other.value, self.value) from None
 
 
 def _hashable(value: object) -> object:
@@ -830,10 +827,7 @@ def _compare(op: str, left: object, right: object) -> bool:
             return left > right
         return left >= right
     except TypeError:
-        raise SqlExecutionError(
-            f"cannot compare {type(left).__name__} with "
-            f"{type(right).__name__}"
-        ) from None
+        raise incomparable(left, right) from None
 
 
 def _eval_in(expr: InList, row: dict, context: EvalContext,

@@ -21,6 +21,7 @@ def explain(sql: str, catalog: Catalog) -> str:
     if isinstance(statement, Union):
         kind = "UNION ALL" if statement.all else "UNION"
         parts = [f"{kind} [{len(statement.branches)} branches]"]
+        parts.extend(_render_sort(statement))
         for index, branch in enumerate(statement.branches, start=1):
             plan = plan_select(branch, catalog)
             parts.append(f"  branch {index}:")
@@ -30,20 +31,25 @@ def explain(sql: str, catalog: Catalog) -> str:
     return "\n".join(_render_plan(plan))
 
 
+def _render_sort(statement: Select | Union) -> list[str]:
+    if statement.order_by:
+        keys = ", ".join(
+            render_expr(item.expr) + (" DESC" if item.descending else "")
+            for item in statement.order_by
+        )
+        return [f"  sort: {keys}"
+                + (f"  limit {statement.limit}"
+                   if statement.limit is not None else "")]
+    if statement.limit is not None:
+        return [f"  limit: {statement.limit}"]
+    return []
+
+
 def _render_plan(plan: Plan) -> list[str]:
     select = plan.select
     lines: list[str] = []
     lines.append(_render_output(select, plan))
-    if select.order_by:
-        keys = ", ".join(
-            render_expr(item.expr) + (" DESC" if item.descending else "")
-            for item in select.order_by
-        )
-        lines.append(f"  sort: {keys}"
-                     + (f"  limit {select.limit}"
-                        if select.limit is not None else ""))
-    elif select.limit is not None:
-        lines.append(f"  limit: {select.limit}")
+    lines.extend(_render_sort(select))
     if plan.is_aggregate:
         if select.group_by:
             keys = ", ".join(render_expr(e) for e in select.group_by)

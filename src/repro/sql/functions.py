@@ -8,6 +8,14 @@ from typing import Callable
 from ..errors import SqlExecutionError
 
 
+def incomparable(left: object, right: object) -> SqlExecutionError:
+    """The error for ordering two values of incompatible types."""
+    return SqlExecutionError(
+        f"cannot compare {type(left).__name__} with "
+        f"{type(right).__name__}"
+    )
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SqlExecutionError(message)
@@ -208,8 +216,11 @@ class MinAggregate(Aggregate):
     def add(self, value: object) -> None:
         if value is None:
             return
-        if self._best is None or value < self._best:
-            self._best = value
+        try:
+            if self._best is None or value < self._best:
+                self._best = value
+        except TypeError:
+            raise incomparable(value, self._best) from None
 
     def result(self) -> object:
         return self._best
@@ -225,8 +236,11 @@ class MaxAggregate(Aggregate):
     def add(self, value: object) -> None:
         if value is None:
             return
-        if self._best is None or value > self._best:
-            self._best = value
+        try:
+            if self._best is None or value > self._best:
+                self._best = value
+        except TypeError:
+            raise incomparable(value, self._best) from None
 
     def result(self) -> object:
         return self._best

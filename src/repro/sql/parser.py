@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..errors import SqlParseError
 from .ast import (
     Between,
@@ -30,6 +32,18 @@ from .lexer import Token, tokenize
 def parse(sql: str) -> Select | Union:
     """Parse one statement: a SELECT or a UNION [ALL] chain."""
     return _Parser(tokenize(sql)).parse_statement()
+
+
+def _reject_branch_tail(branch: Select) -> None:
+    """ORDER BY / LIMIT / OFFSET may only follow the final UNION
+    branch, where they apply to the whole union."""
+    for clause, present in (("ORDER BY", branch.order_by),
+                            ("LIMIT", branch.limit is not None),
+                            ("OFFSET", branch.offset is not None)):
+        if present:
+            raise SqlParseError(
+                f"{clause} must follow the last UNION branch"
+            )
 
 
 class _Parser:
@@ -92,6 +106,7 @@ class _Parser:
         branches = [self._parse_select()]
         union_all = None
         while self._match_keyword("UNION"):
+            _reject_branch_tail(branches[-1])
             this_all = self._match_keyword("ALL")
             if union_all is None:
                 union_all = this_all
@@ -106,7 +121,11 @@ class _Parser:
             )
         if len(branches) == 1:
             return branches[0]
-        return Union(tuple(branches), all=bool(union_all))
+        last = branches[-1]
+        branches[-1] = replace(last, order_by=(), limit=None, offset=None)
+        return Union(tuple(branches), all=bool(union_all),
+                     order_by=last.order_by, limit=last.limit,
+                     offset=last.offset)
 
     def parse_select_statement(self) -> Select:
         statement = self.parse_statement()

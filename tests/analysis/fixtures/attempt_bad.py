@@ -10,4 +10,4 @@ def bump_scanned(state, count):
 
 
 def bill_shipment(execution, nbytes):
-    execution.bytes_shipped += nbytes  # VIOLATION: no attempt check
+    execution.counters["query_bytes_shipped"] += nbytes  # VIOLATION

@@ -15,7 +15,7 @@ def bump_scanned(state, table, count, token):
 
 def bill_shipment(execution, nbytes, attempt):
     # Guarded by taking the token as a parameter (forwarded upstream).
-    execution.bytes_shipped += nbytes
+    execution.counters["query_bytes_shipped"] += nbytes
 
 
 def unrelated_counter(metrics):

@@ -1,4 +1,4 @@
-"""Billing fixture: unbilled sends and an orphaned report counter."""
+"""Billing fixture: unbilled sends."""
 
 
 def ship_unbilled(cluster, src, dst, deliver, payload):
@@ -7,15 +7,3 @@ def ship_unbilled(cluster, src, dst, deliver, payload):
 
 def ship_unbilled_bare(network, src, dst, deliver):
     network.send(src, dst, deliver)  # VIOLATION: no nbytes=
-
-
-class ClusterReport:
-    horizon_ms: float
-    messages: int = 0
-    orphaned_counter: int = 0  # VIOLATION: never rolled up below
-
-
-def collect_report(env):
-    report = ClusterReport()
-    report.messages = env.cluster.network.messages_sent
-    return report

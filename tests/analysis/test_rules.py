@@ -62,12 +62,10 @@ def test_lock_pairing_clean_fixture_passes():
 # -- billing --------------------------------------------------------------
 
 
-def test_billing_flags_unbilled_sends_and_orphaned_counters():
+def test_billing_flags_unbilled_sends():
     violations = lint_fixture("billing_bad.py", "billing")
     messages = [v.message for v in violations]
     assert sum("without nbytes=" in m for m in messages) == 2
-    assert sum("never populated in collect_report" in m
-               for m in messages) == 1
 
 
 def test_billing_clean_fixture_passes():

@@ -158,8 +158,7 @@ def test_shipped_rows_with_zero_bytes_raises():
         error = None
         snapshot_id = None
         snapshot_versions = None
-        rows_shipped = 50
-        bytes_shipped = 0
+        counters = {"query_rows_shipped": 50, "query_bytes_shipped": 0}
         isolation = IsolationLevel.READ_UNCOMMITTED
 
     with pytest.raises(SanitizerError, match="zero bytes"):

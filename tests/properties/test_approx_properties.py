@@ -98,13 +98,13 @@ def test_live_answers_within_reported_bound(seed, pushdown):
         lhs = approx.execute(approx_sql)
         rhs = exact.execute(exact_sql)
         # Guard against vacuous passes: the sketch path must fire.
-        assert lhs.approx_answered, approx_sql
-        assert lhs.sketch_probes > 0 and lhs.entries_scanned == 0
+        assert lhs.counters["approx_queries_answered"], approx_sql
+        assert lhs.counters["sketch_probes"] > 0 and lhs.entries_scanned == 0
         assert lhs.result.columns == [column, "error_bound",
                                       "confidence"]
         assert_within_bound(mode, lhs.result.rows[0], column,
                             rhs.result.rows[0][column], approx_sql)
-    assert approx.approx_queries_answered_total == len(QUERIES)
+    assert approx.counters["approx_queries_answered"] == len(QUERIES)
 
 
 def test_sketches_off_falls_back_to_exact_with_zero_bounds():
@@ -115,7 +115,7 @@ def test_sketches_off_falls_back_to_exact_with_zero_bounds():
     for approx_sql, exact_sql, column, _mode in QUERIES:
         lhs = off.execute(approx_sql)
         rhs = exact.execute(exact_sql)
-        assert not lhs.approx_answered
+        assert not lhs.counters["approx_queries_answered"]
         assert lhs.result.columns == [column, "error_bound",
                                       "confidence"]
         row = lhs.result.rows[0]
@@ -145,7 +145,7 @@ def test_mutations_keep_live_answers_within_bound():
             QUERIES[round_no % len(QUERIES)]
         lhs = approx.execute(approx_sql)
         rhs = exact.execute(exact_sql)
-        assert lhs.approx_answered, approx_sql
+        assert lhs.counters["approx_queries_answered"], approx_sql
         assert_within_bound(mode, lhs.result.rows[0], column,
                             rhs.result.rows[0][column], approx_sql)
     live = env.store.get_live_table("data")
@@ -183,7 +183,8 @@ def test_snapshot_answers_within_bound_and_pin_by_ssid():
             exact_sql = sql_template.format("", ssid)
             lhs = approx.execute(approx_sql)
             rhs = exact.execute(exact_sql)
-            assert lhs.approx_answered and lhs.snapshot_id == ssid
+            assert lhs.counters["approx_queries_answered"]
+            assert lhs.snapshot_id == ssid
             assert_within_bound(mode, lhs.result.rows[0], column,
                                 rhs.result.rows[0][column], approx_sql)
     for ssid in (1, 2):

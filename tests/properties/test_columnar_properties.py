@@ -73,7 +73,8 @@ def populate(env, seed, keys=600):
 def assert_identical(on, off, sql):
     assert on.result.columns == off.result.columns, sql
     assert on.result.rows == off.result.rows, sql
-    assert on.bytes_shipped == off.bytes_shipped, sql
+    assert on.counters["query_bytes_shipped"] \
+        == off.counters["query_bytes_shipped"], sql
 
 
 @pytest.mark.parametrize("seed", [1, 17, 42])

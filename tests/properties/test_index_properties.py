@@ -91,7 +91,7 @@ def test_selective_probes_actually_use_the_index():
     execution = service.execute(
         'SELECT key, v FROM "data" WHERE v = 17 ORDER BY key'
     )
-    assert execution.index_probes > 0
+    assert execution.counters["index_probes"] > 0
     assert execution.entries_scanned < 900
 
 

@@ -110,9 +110,9 @@ def test_join_on_off_equivalence(seed):
             distributed += 1
     assert distributed > 0, "no query exercised the distributed pipeline"
     # The pipeline must actually have chosen both headline strategies.
-    assert on.joins_copartitioned_total > 0
-    assert on.joins_broadcast_total > 0
-    assert off.joins_central_total > 0
+    assert on.counters["joins_copartitioned"] > 0
+    assert on.counters["joins_broadcast"] > 0
+    assert off.counters["joins_central"] > 0
 
 
 @pytest.mark.parametrize("null_every,dup_factor", [(2, 1), (3, 4), (2, 3)])
@@ -155,7 +155,7 @@ def test_shuffle_hash_fallback_equivalence():
     ]:
         lhs = run_pair(on, off, sql)
         assert lhs.join_strategies == ["shuffle"], lhs.join_strategies
-    assert on.join_bytes_shuffled_total > 0
+    assert on.counters["join_bytes_shuffled"] > 0
 
 
 def test_index_nested_loop_equivalence():
@@ -181,7 +181,7 @@ def test_index_nested_loop_equivalence():
            "ORDER BY s.partitionKey, b.partitionKey")
     lhs = run_pair(on, off, sql)
     assert lhs.join_strategies == ["index-nested-loop"]
-    assert lhs.index_probes > 0
+    assert lhs.counters["index_probes"] > 0
     # The indexed probe touched only candidates, not the 6000 rows.
     assert lhs.entries_scanned < 6000
 
@@ -341,7 +341,8 @@ def test_distributed_join_ships_fewer_bytes_than_central():
     lhs = on.execute(sql)
     rhs = off.execute(sql)
     assert lhs.result.rows == rhs.result.rows
-    assert lhs.bytes_shipped < rhs.bytes_shipped / 5
+    assert lhs.counters["query_bytes_shipped"] \
+        < rhs.counters["query_bytes_shipped"] / 5
 
 
 def test_join_projection_prunes_unreferenced_columns():
@@ -360,7 +361,8 @@ def test_join_projection_prunes_unreferenced_columns():
         'JOIN "states" AS s USING (partitionKey) ORDER BY o.partitionKey'
     )
     assert narrow.result.rows != wide.result.rows  # sanity: narrower
-    assert narrow.bytes_shipped < wide.bytes_shipped
+    assert narrow.counters["query_bytes_shipped"] \
+        < wide.counters["query_bytes_shipped"]
 
 
 # -- cost chooser unit tests -------------------------------------------------

@@ -70,10 +70,12 @@ def test_vectorized_execution_counts_batches_and_compiles():
         'SELECT g, COUNT(*) AS c FROM "data" WHERE v < 8 GROUP BY g'
     )
     assert execution.error is None
-    assert execution.batches_evaluated > 0
-    assert execution.predicates_compiled + execution.compile_cache_hits > 0
+    counters = execution.counters
+    assert counters["batches_evaluated"] > 0
+    assert counters["predicates_compiled"] + counters["compile_cache_hits"] > 0
     assert execution.scan_ms_billed > 0
-    assert service.batches_evaluated_total == execution.batches_evaluated
+    assert service.counters["batches_evaluated"] \
+        == counters["batches_evaluated"]
 
 
 def test_interpreted_execution_never_touches_the_compiled_path():
@@ -81,9 +83,9 @@ def test_interpreted_execution_never_touches_the_compiled_path():
     service = QueryService(env, vectorized=False)
     execution = service.execute('SELECT v FROM "data" WHERE v < 3')
     assert execution.error is None
-    assert execution.batches_evaluated == 0
-    assert execution.predicates_compiled == 0
-    assert execution.compile_cache_hits == 0
+    assert execution.counters["batches_evaluated"] == 0
+    assert execution.counters["predicates_compiled"] == 0
+    assert execution.counters["compile_cache_hits"] == 0
     assert execution.scan_ms_billed > 0  # interpreted scans still bill
 
 
@@ -92,7 +94,8 @@ def test_report_rolls_up_columnar_counters():
     service = QueryService(env, vectorized=True)
     service.execute('SELECT COUNT(*) AS c FROM "data" WHERE v < 9')
     report = collect_report(env)
-    assert report.batches_evaluated >= service.batches_evaluated_total > 0
+    assert report.batches_evaluated \
+        >= service.counters["batches_evaluated"] > 0
     assert "columnar:" in format_report(report)
 
 
@@ -129,7 +132,7 @@ def test_empty_table_bills_nothing_and_submits_no_store_jobs():
     # store server (it used to submit a full-chunk job regardless).
     assert execution.entries_billed == 0
     assert execution.scan_ms_billed == 0
-    assert execution.batches_evaluated == 0
+    assert execution.counters["batches_evaluated"] == 0
     assert store_jobs_served(env) == before
 
 

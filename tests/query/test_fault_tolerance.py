@@ -64,8 +64,8 @@ def test_mid_scan_kill_reschedules_and_completes(slow_env, running_job):
     assert execution.done
     assert execution.error is None
     assert execution.retries == 1
-    assert service.query_retries == 1
-    assert service.query_aborts == 0
+    assert service.counters["query_retries"] == 1
+    assert service.counters["query_aborts"] == 0
     assert service.inflight_queries == 0
 
 
@@ -104,7 +104,7 @@ def test_entry_node_death_aborts_immediately(slow_env, running_job):
     assert execution.done  # synchronously with the failure event
     assert isinstance(execution.error, QueryAbortedError)
     assert execution.completed_ms == submitted_at
-    assert service.query_aborts == 1
+    assert service.counters["query_aborts"] == 1
     assert service.inflight_queries == 0
 
 
@@ -118,8 +118,8 @@ def test_retry_budget_exhaustion_aborts(slow_env, running_job):
     slow_env.run_for(1_000)
     assert isinstance(execution.error, QueryAbortedError)
     assert execution.retries == 0
-    assert service.query_retries == 0
-    assert service.query_aborts == 1
+    assert service.counters["query_retries"] == 0
+    assert service.counters["query_aborts"] == 1
 
 
 def test_second_failure_exhausts_single_retry(slow_env, running_job):
@@ -153,8 +153,8 @@ def test_watchdog_timeout_bounds_every_query(slow_env, running_job):
     slow_env.run_for(10.0)
     assert isinstance(execution.error, QueryTimeoutError)
     assert execution.latency_ms == pytest.approx(0.5)
-    assert service.query_timeouts == 1
-    assert service.query_aborts == 1
+    assert service.counters["query_timeouts"] == 1
+    assert service.counters["query_aborts"] == 1
     assert service.inflight_queries == 0
 
 

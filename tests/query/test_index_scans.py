@@ -81,7 +81,7 @@ def test_index_on_off_identical_without_pushdown(indexed_env, sql):
     off = QueryService(indexed_env, pushdown=False,
                        indexes=False).execute(sql)
     assert on.result.rows == off.result.rows
-    assert on.index_probes == 0
+    assert on.counters["index_probes"] == 0
 
 
 def test_selective_equality_scans_10x_fewer_rows(indexed_env):
@@ -92,9 +92,9 @@ def test_selective_equality_scans_10x_fewer_rows(indexed_env):
     assert off.entries_scanned == KEYS
     assert on.entries_scanned == KEYS // 50  # exact candidates
     assert on.entries_scanned * 10 <= off.entries_scanned
-    assert on.index_probes > 0
-    assert on.index_rows_read == KEYS // 50
-    assert on.rows_skipped_by_index == KEYS - KEYS // 50
+    assert on.counters["index_probes"] > 0
+    assert on.counters["index_rows_read"] == KEYS // 50
+    assert on.counters["rows_skipped_by_index"] == KEYS - KEYS // 50
     # Touching fewer rows is also faster in simulated time.
     assert on.latency_ms < off.latency_ms
 
@@ -107,7 +107,7 @@ def test_like_prefix_uses_sorted_index(indexed_env):
     matches = sum(1 for key in range(KEYS) if key % 3 == 1)
     assert on.entries_scanned == matches
     assert off.entries_scanned == KEYS
-    assert on.index_probes > 0
+    assert on.counters["index_probes"] > 0
 
 
 def test_in_list_probes_each_value(indexed_env):
@@ -115,21 +115,21 @@ def test_in_list_probes_each_value(indexed_env):
     on = QueryService(indexed_env, indexes=True).execute(sql)
     assert on.result.rows[0]["n"] == 3 * KEYS // 50
     assert on.entries_scanned == 3 * KEYS // 50
-    assert on.index_probes > 0
+    assert on.counters["index_probes"] > 0
 
 
 def test_non_selective_predicate_stays_full_scan(indexed_env):
     # value < 500 keeps every row: the chooser must price the index out.
     sql = 'SELECT COUNT(*) AS n FROM "metrics" WHERE value < 500'
     on = QueryService(indexed_env, indexes=True).execute(sql)
-    assert on.index_probes == 0
+    assert on.counters["index_probes"] == 0
     assert on.entries_scanned == KEYS
 
 
 def test_unindexed_column_stays_full_scan(indexed_env):
     sql = 'SELECT COUNT(*) AS n FROM "metrics" WHERE weight = 2'
     on = QueryService(indexed_env, indexes=True).execute(sql)
-    assert on.index_probes == 0
+    assert on.counters["index_probes"] == 0
     assert on.entries_scanned == KEYS
 
 
@@ -148,8 +148,8 @@ def test_index_composes_with_partition_pruning(indexed_env):
     on = QueryService(indexed_env, indexes=True).execute(sql)
     off = QueryService(indexed_env, indexes=False).execute(sql)
     assert on.result.rows == off.result.rows
-    assert on.partitions_pruned > 0
-    assert on.index_probes > 0
+    assert on.counters["query_partitions_pruned"] > 0
+    assert on.counters["index_probes"] > 0
     assert on.entries_scanned < off.entries_scanned
 
 
@@ -166,14 +166,14 @@ def test_repeatable_read_locks_only_index_candidates(indexed_env):
 def test_counters_roll_up_into_cluster_report(indexed_env):
     service = QueryService(indexed_env, indexes=True)
     service.execute('SELECT key FROM "metrics" WHERE value = 7')
-    assert service.index_probes_total > 0
-    assert service.index_rows_read_total == KEYS // 50
-    assert service.rows_skipped_by_index_total == KEYS - KEYS // 50
+    assert service.counters["index_probes"] > 0
+    assert service.counters["index_rows_read"] == KEYS // 50
+    assert service.counters["rows_skipped_by_index"] == KEYS - KEYS // 50
     report = collect_report(indexed_env)
-    assert report.index_probes == service.index_probes_total
-    assert report.index_rows_read == service.index_rows_read_total
+    assert report.index_probes == service.counters["index_probes"]
+    assert report.index_rows_read == service.counters["index_rows_read"]
     assert report.rows_skipped_by_index == \
-        service.rows_skipped_by_index_total
+        service.counters["rows_skipped_by_index"]
     # Write-path maintenance billed: 1000 puts x 2 indexes (+ builds).
     assert report.index_maintenance_ops >= 2 * KEYS
     assert report.index_maintenance_cost > 0
@@ -250,7 +250,7 @@ def test_snapshot_index_scan_identical_and_cheaper(snapshot_env):
     off = QueryService(snapshot_env, indexes=False).execute(sql)
     assert on.result.rows == off.result.rows
     assert on.result.rows  # the probed value exists
-    assert on.index_probes > 0
+    assert on.counters["index_probes"] > 0
     assert on.entries_scanned <= off.entries_scanned
 
 

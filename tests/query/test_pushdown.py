@@ -10,6 +10,7 @@ import pytest
 
 from repro import Environment
 from repro.config import ClusterConfig
+from repro.errors import SqlExecutionError
 from repro.observability import collect_report, format_report
 from repro.query import QueryService
 from repro.state.live import LiveStateTable
@@ -84,9 +85,10 @@ def test_selective_scan_ships_fewer_rows_and_bytes(wide_env):
     on = QueryService(wide_env, pushdown=True).execute(sql)
     off = QueryService(wide_env, pushdown=False).execute(sql)
     assert on.result.rows == off.result.rows
-    assert on.rows_shipped == KEYS // 50
-    assert off.rows_shipped == KEYS
-    assert on.bytes_shipped * 5 <= off.bytes_shipped
+    assert on.counters["query_rows_shipped"] == KEYS // 50
+    assert off.counters["query_rows_shipped"] == KEYS
+    assert on.counters["query_bytes_shipped"] * 5 \
+        <= off.counters["query_bytes_shipped"]
     # Every entry is still scanned — pushdown saves shipping, not reads.
     assert on.entries_scanned == off.entries_scanned == KEYS
 
@@ -96,7 +98,7 @@ def test_group_by_ships_partial_states_not_rows(wide_env):
            "GROUP BY weight")
     on = QueryService(wide_env, pushdown=True).execute(sql)
     # At most one group state per (group, node).
-    assert on.rows_shipped <= 7 * NODES
+    assert on.counters["query_rows_shipped"] <= 7 * NODES
     assert len(on.result.rows) == 7
 
 
@@ -141,7 +143,7 @@ def test_large_in_list_prunes_partitions_instead(wide_env):
     )
     assert execution.point_keys is None
     assert execution.result.rows[0]["n"] == 65
-    assert execution.partitions_pruned > 0
+    assert execution.counters["query_partitions_pruned"] > 0
     assert execution.entries_scanned < KEYS
 
 
@@ -153,7 +155,7 @@ def test_snapshot_range_scan_uses_zone_map_pruning(snapshot_env):
     baseline = QueryService(snapshot_env, pushdown=False).execute(sql)
     assert execution.result.rows == baseline.result.rows
     assert execution.result.rows[0]["n"] == 0
-    assert execution.partitions_pruned > 0
+    assert execution.counters["query_partitions_pruned"] > 0
     assert execution.entries_scanned == 0
     assert baseline.entries_scanned > 0
 
@@ -178,7 +180,7 @@ def test_all_versions_stays_on_legacy_path(snapshot_env):
     )
     snapshot_env.run_for(1_000)
     assert execution.done and execution.error is None
-    assert execution.partitions_pruned == 0
+    assert execution.counters["query_partitions_pruned"] == 0
 
 
 def test_repeatable_read_locks_only_surviving_rows(wide_env):
@@ -203,14 +205,16 @@ def test_counters_roll_up_into_cluster_report(wide_env):
     service.execute(
         f'SELECT COUNT(*) AS n FROM "metrics" WHERE key IN ({keys})'
     )
-    assert service.rows_shipped_total > 0
-    assert service.bytes_shipped_total > 0
-    assert service.partitions_pruned_total > 0
+    assert service.counters["query_rows_shipped"] > 0
+    assert service.counters["query_bytes_shipped"] > 0
+    assert service.counters["query_partitions_pruned"] > 0
     report = collect_report(wide_env)
-    assert report.query_rows_shipped == service.rows_shipped_total
-    assert report.query_bytes_shipped == service.bytes_shipped_total
+    assert report.query_rows_shipped \
+        == service.counters["query_rows_shipped"]
+    assert report.query_bytes_shipped \
+        == service.counters["query_bytes_shipped"]
     assert report.query_partitions_pruned == \
-        service.partitions_pruned_total
+        service.counters["query_partitions_pruned"]
     assert "partitions pruned" in format_report(report)
 
 
@@ -237,3 +241,25 @@ def test_cost_model_flag_controls_default(wide_env):
     assert QueryService(wide_env).pushdown_enabled is True
     assert QueryService(wide_env,
                         pushdown=False).pushdown_enabled is False
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+@pytest.mark.parametrize("pushdown", [True, False])
+@pytest.mark.parametrize("sql", [
+    'SELECT MIN(a) FROM "t"',
+    'SELECT MAX(a) FROM "t"',
+    'SELECT a FROM "t" ORDER BY a',
+])
+def test_mixed_type_ordering_raises_sql_error(sql, pushdown, nodes):
+    # One node computes MIN/MAX in a shard-side partial; three nodes
+    # meet the mixed values in the merge; ORDER BY sorts centrally.
+    env = Environment(ClusterConfig(nodes=nodes, backup_count=0,
+                                    processing_workers_per_node=1))
+    imap = env.store.create_map("t")
+    env.store.register_live_table("t", LiveStateTable(imap))
+    for key, value in enumerate([1, "x", None]):
+        imap.put(key, {"a": value})
+    service = QueryService(env, pushdown=pushdown)
+    with pytest.raises(SqlExecutionError,
+                       match="^cannot compare str with int$"):
+        service.execute(sql)

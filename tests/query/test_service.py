@@ -160,7 +160,8 @@ def test_materialize_false_models_costs_without_rows(env, running_job):
     assert load.done
     assert load.result is None
     assert load.error is None
-    assert load.rows_shipped == real.rows_shipped
+    assert load.counters["query_rows_shipped"] \
+        == real.counters["query_rows_shipped"]
     assert load.entries_scanned == real.entries_scanned
 
 
@@ -240,7 +241,8 @@ def test_all_versions_scans_cost_more_than_single(env, running_job):
                            materialize=False, all_versions=True)
     env.run_for(1_000)
     assert multi.entries_scanned > single.entries_scanned
-    assert multi.rows_shipped > single.rows_shipped
+    assert multi.counters["query_rows_shipped"] \
+        > single.counters["query_rows_shipped"]
 
 
 def test_all_versions_difference_between_snapshots(env, running_job):
@@ -272,6 +274,13 @@ def test_union_of_live_and_snapshot_views(env, running_job):
     assert rows["live"] >= rows["snapshot"] > 0
     # A union touching snapshot tables is still serialisable overall.
     assert execution.snapshot_id == env.store.committed_ssid
+    ordered = service.execute(
+        "SELECT 'live' AS src, SUM(count) AS s FROM \"average\" "
+        "UNION ALL "
+        "SELECT 'snapshot', SUM(count) FROM \"snapshot_average\" "
+        "ORDER BY src DESC LIMIT 1"
+    )
+    assert ordered.result.column("src") == ["snapshot"]
 
 
 def test_repeatable_read_defers_stream_updates_mid_query(env, running_job):

@@ -396,6 +396,35 @@ def test_union_three_branches():
     assert sorted(result.column("x")) == [1, 2, 3]
 
 
+def test_union_limit_applies_to_whole_union():
+    cat = catalog(t=[{"b": 3}, {"b": 1}], u=[{"c": 5}, {"c": 2}])
+    result = run("SELECT b FROM t UNION ALL SELECT c FROM u LIMIT 1", cat)
+    assert result.tuples() == [(3,)]
+
+
+def test_union_order_by_resolves_output_columns():
+    cat = catalog(t=[{"b": 3}, {"b": 1}], u=[{"c": 5}, {"c": 1}])
+    result = run("SELECT b FROM t UNION SELECT c FROM u ORDER BY b", cat)
+    assert result.column("b") == [1, 3, 5]
+    result = run(
+        "SELECT b FROM t UNION ALL SELECT c FROM u "
+        "ORDER BY b DESC LIMIT 2 OFFSET 1",
+        cat,
+    )
+    assert result.column("b") == [3, 1]
+    with pytest.raises(SqlExecutionError, match="unknown column 'c'"):
+        run("SELECT b FROM t UNION SELECT c FROM u ORDER BY c", cat)
+
+
+@pytest.mark.parametrize("tail", ["ORDER BY b", "LIMIT 1", "OFFSET 1"])
+def test_union_tail_on_inner_branch_rejected(tail):
+    from repro.errors import SqlParseError
+
+    with pytest.raises(SqlParseError,
+                       match="must follow the last UNION branch"):
+        parse(f"SELECT b FROM t {tail} UNION SELECT c FROM u")
+
+
 def test_mixed_union_kinds_rejected():
     from repro.errors import SqlParseError
 

@@ -131,5 +131,5 @@ def test_report_carries_like_cache_counters():
     assert report.like_cache_misses >= 1
     # The footer appears whenever the columnar counters are non-zero;
     # the LIKE stats ride in the same line.
-    report.batches_evaluated = 1
+    report.counters["batches_evaluated"] = 1
     assert "LIKE cache:" in format_report(report)

@@ -1,7 +1,9 @@
 """Tests for the utilisation/observability report."""
 
-from repro.observability import ClusterReport, NodeReport, collect_report, \
-    format_report
+import pytest
+
+from repro.observability import QUERY_COUNTERS, ClusterReport, CounterSet, \
+    NodeReport, collect_report, format_report
 from repro.query import QueryService
 
 from .conftest import build_average_job, make_squery_backend
@@ -147,3 +149,94 @@ def test_report_counts_query_fault_tolerance():
     assert report.locks_held == 0
     text = format_report(report)
     assert "query fault tolerance: 1 retries" in text
+
+
+def _counter_env():
+    """Tables that drive every query-counter path: a co-partitioned
+    pair plus a small dimension, a shuffle pair, and an indexed table
+    that an index scan and an index-nested-loop join both read."""
+    from repro import Environment
+    from repro.config import ClusterConfig
+    from repro.state.live import LiveStateTable
+
+    env = Environment(ClusterConfig(nodes=4,
+                                    processing_workers_per_node=1))
+    maps = {}
+    for name in ("orders", "states", "dims", "l", "r", "small", "big"):
+        maps[name] = env.store.create_map(name)
+        env.store.register_live_table(name, LiveStateTable(maps[name]))
+    for k in range(300):
+        maps["orders"].put(k, {"cust": k % 12, "amount": k % 500})
+        if k % 3:
+            maps["states"].put(k, {"status": ["open", "done"][k % 2]})
+    for k in range(12):
+        maps["dims"].put(k, {"cust_id": k, "region": ["e", "w"][k % 2]})
+    for k in range(400):
+        maps["l"].put(k, {"fk": (k * 7) % 350, "a": k % 100})
+    for k in range(500):
+        maps["r"].put(k, {"rk": k % 350, "b": k % 100})
+    for k in range(15):
+        maps["small"].put(k, {"fk": (k * 3) % 40})
+    for k in range(6000):
+        maps["big"].put(k, {"rk": k % 2000, "b": k % 100})
+    env.store.create_index("big", "rk")
+    env.store.create_sketch("big", "b", "countmin")
+    return env
+
+
+def test_every_query_counter_reaches_the_report():
+    env = _counter_env()
+    distributed = QueryService(env)
+    central = QueryService(env, distributed_joins=False)
+    # More keys than a multi-point get takes: the scan prunes partitions.
+    keys = ", ".join(str(k) for k in range(65))
+    statements = {
+        # pushdown, pruning, a compile miss and then per-shard hits
+        "pruned": 'SELECT amount FROM "orders" '
+                  f"WHERE key IN ({keys}) AND amount < 4321",
+        "index": 'SELECT b FROM "big" WHERE rk = 5',
+        "approx": 'SELECT APPROX COUNT(*) AS n FROM "big" WHERE b = 17',
+        "copartitioned": 'SELECT o.amount, s.status FROM "orders" AS o '
+                         'JOIN "states" AS s USING (partitionKey)',
+        "broadcast": 'SELECT o.amount, d.region FROM "orders" AS o '
+                     'JOIN "dims" AS d ON o.cust = d.cust_id',
+        "shuffle": 'SELECT l.a, r.b FROM "l" AS l '
+                   'JOIN "r" AS r ON l.fk = r.rk WHERE l.a < 10',
+        "index-nested-loop": 'SELECT s.fk, b.b FROM "small" AS s '
+                             'JOIN "big" AS b ON s.fk = b.rk',
+    }
+    for label, sql in statements.items():
+        execution = distributed.execute(sql)
+        assert execution.error is None, (label, execution.error)
+        if label in ("copartitioned", "broadcast", "shuffle",
+                     "index-nested-loop"):
+            assert execution.join_strategies == [label]
+    assert central.execute(statements["broadcast"]).join_strategies \
+        == ["central"]
+    report = collect_report(env)
+    # The fault-tolerance trio needs injected failures; it is covered
+    # by test_report_counts_query_fault_tolerance.
+    fault = {"query_retries", "query_aborts", "query_timeouts"}
+    for name in QUERY_COUNTERS.keys() - fault:
+        assert report.counters[name] > 0, name
+        assert getattr(report, name) == report.counters[name]
+        assert report.counters[name] == (distributed.counters[name]
+                                         + central.counters[name])
+
+
+def test_unregistered_counters_raise():
+    env = _counter_env()
+    service = QueryService(env)
+    execution = service.execute('SELECT COUNT(*) AS n FROM "dims"')
+    report = collect_report(env)
+    for counters in (execution.counters, service.counters,
+                     report.counters, CounterSet()):
+        with pytest.raises(KeyError):
+            counters["rows_shipped"] += 1
+        with pytest.raises(KeyError):
+            counters["rows_shipped"] = 1
+        with pytest.raises(KeyError):
+            counters["rows_shipped"]
+        assert counters["query_rows_shipped"] >= 0
+    with pytest.raises(AttributeError):
+        report.rows_shipped
