@@ -9,9 +9,17 @@ to watch the tables live).
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def interpreted_baseline(benchmark: str) -> dict:
+    """The recorded billed results of the deleted interpreted scan path
+    for one ablation benchmark (``results/interpreted_baseline.json``)."""
+    path = RESULTS_DIR / "interpreted_baseline.json"
+    return json.loads(path.read_text())[benchmark]
 
 
 def record_result(name: str, text: str) -> None:

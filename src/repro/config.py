@@ -142,7 +142,10 @@ class CostModel:
     #: Scan chunk size: a query releases the partition between chunks so
     #: snapshot writes can interleave (bounds priority inversion).
     scan_chunk_entries: int = 256
-    #: Per-entry scan cost for query execution on the store.
+    #: Per-entry scan cost the access-path chooser prices a full scan
+    #: at (``repro.sql.access``).  Sweeps bill
+    #: ``vectorized_scan_entry_ms`` instead; aligning the two is the
+    #: ROADMAP calibration item.
     scan_entry_ms: float = 0.0008
 
     # --- distributed query execution (pushdown) -------------------------
@@ -152,30 +155,28 @@ class CostModel:
     #: baseline where network cost scales with table size.
     pushdown_enabled: bool = True
     #: Per-entry cost of evaluating pushed predicates / projecting
-    #: columns during a scan chunk.
+    #: columns, as the chooser prices it (billing uses
+    #: ``vectorized_filter_entry_ms``).
     pushed_filter_entry_ms: float = 0.0001
     #: Additional per-entry cost of folding a row into scan-side
-    #: partial-aggregate state.
+    #: partial-aggregate state, as the chooser prices it (billing uses
+    #: ``vectorized_partial_agg_entry_ms``).
     partial_agg_entry_ms: float = 0.0001
     #: Fixed serialisation overhead per shipped row/group under
     #: pushdown (header, key, framing).
     row_overhead_bytes: int = 24
 
-    # --- vectorized columnar scan execution -------------------------------
-    #: Execute scan fragments over columnar chunk batches with
-    #: compile-once predicate/projection/aggregation closures instead of
-    #: per-row AST interpretation.  Results are bit-identical either
-    #: way; off = the interpreted ablation baseline.
-    vectorized_enabled: bool = True
-    #: Per-entry cost of a columnar batch sweep (replaces
-    #: ``scan_entry_ms`` on vectorized non-indexed scans: sequential
-    #: column reads amortize per-entry dispatch).
+    # --- columnar scan execution ------------------------------------------
+    #: Scan fragments run over columnar chunk batches with compile-once
+    #: predicate/projection/aggregation closures.
+    #: Per-entry cost of a non-indexed batch sweep (sequential column
+    #: reads amortize per-entry dispatch).
     vectorized_scan_entry_ms: float = 0.0003
     #: Per-entry cost of evaluating compiled predicates / projecting
-    #: columns over a batch (replaces ``pushed_filter_entry_ms``).
+    #: columns over a batch.
     vectorized_filter_entry_ms: float = 0.00002
     #: Additional per-entry cost of folding batch survivors into
-    #: partial-aggregate state (replaces ``partial_agg_entry_ms``).
+    #: partial-aggregate state.
     vectorized_partial_agg_entry_ms: float = 0.00003
     #: Fixed cost per scan chunk of assembling its column batch.
     batch_fixed_ms: float = 0.002
@@ -231,7 +232,7 @@ class CostModel:
     #: Inserting one row into a hash-join build table.
     join_build_entry_ms: float = 0.0004
     #: Probing the build table with one probe-side row (also the
-    #: per-entry surcharge when the probe rides the vectorized sweep).
+    #: per-entry surcharge when the probe rides the scan sweep).
     #: Calibrated to ``merge_row_ms``: one hash probe costs about one
     #: entry-node row merge, so the distributed win comes from running
     #: probes on every node in parallel, not from a cheaper per-row op.

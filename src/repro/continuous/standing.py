@@ -14,12 +14,15 @@ At registration it is *classified* into one of three maintenance paths:
 
 ``explain()`` reports which path was chosen and why, mirroring the SQL
 layer's EXPLAIN.  Incremental paths reuse the executor's own binding,
-evaluation, naming, and hashing helpers so a standing result is always
-bit-identical to what a fresh batch execution would return.
+naming, and hashing helpers and compile their expressions once per
+standing plan through the one evaluator (:mod:`repro.sql.compiled`), so
+a standing result is always bit-identical to what a fresh batch
+execution would return.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Hashable, Iterator
 
 from ..sql.ast import (
@@ -40,12 +43,10 @@ from ..sql.ast import (
     Union,
     contains_aggregate,
 )
+from ..sql.compiled import EvalContext, compile_expr, compile_predicate
 from ..sql.executor import (
-    EvalContext,
+    aggregate_feeds,
     bind_row,
-    eval_expr,
-    eval_having,
-    eval_predicate,
     hashable_key,
     output_column_name,
 )
@@ -345,6 +346,21 @@ class StandingQuery:
                 output_column_name(item, position)
                 for position, item in enumerate(select.items)
             ]
+            self._where = (
+                compile_predicate(select.where)
+                if select.where is not None else None
+            )
+            self._having = (
+                compile_predicate(select.having)
+                if select.having is not None else None
+            )
+            self._projections = [
+                compile_expr(item.expr) for item in select.items
+            ]
+            self._group_keys = [
+                compile_expr(expr) for expr in select.group_by
+            ]
+            self._feeds = aggregate_feeds(self._unique_aggs)
             self._groups: dict[tuple, _Group] = {}
 
     # -- seeding / rebuild -------------------------------------------------
@@ -404,9 +420,7 @@ class StandingQuery:
         out_key = hashable_key(key)
         if new_row is not None:
             bound = bind_row(new_row, self._binding)
-            passes = select.where is None or eval_predicate(
-                select.where, bound, context
-            )
+            passes = self._where is None or self._where(bound, context)
         else:
             passes = False
         if not passes:
@@ -418,8 +432,8 @@ class StandingQuery:
             projected = dict(new_row)
         else:
             projected = {
-                name: eval_expr(item.expr, bound, context)
-                for name, item in zip(self._columns, select.items)
+                name: fn(bound, context)
+                for name, fn in zip(self._columns, self._projections)
             }
         previous = self.published.get(out_key)
         if previous == projected:
@@ -432,22 +446,19 @@ class StandingQuery:
 
     def _group_key(self, bound: dict, context: EvalContext) -> tuple:
         return tuple(
-            hashable_key(eval_expr(expr, bound, context))
-            for expr in self.statement.group_by
+            hashable_key(fn(bound, context)) for fn in self._group_keys
         )
 
     def _apply_aggregate(self, key: Hashable, old_row: dict | None,
                          new_row: dict | None,
                          context: EvalContext) -> list[dict]:
-        select: Select = self.statement
+        where = self._where
         row_key = hashable_key(key)
         affected: list[tuple] = []
 
         if old_row is not None:
             bound_old = bind_row(old_row, self._binding)
-            if select.where is None or eval_predicate(
-                select.where, bound_old, context
-            ):
+            if where is None or where(bound_old, context):
                 group_key = self._group_key(bound_old, context)
                 group = self._groups.get(group_key)
                 if group is not None and row_key in group.contributions:
@@ -458,9 +469,7 @@ class StandingQuery:
 
         if new_row is not None:
             bound_new = bind_row(new_row, self._binding)
-            if select.where is None or eval_predicate(
-                select.where, bound_new, context
-            ):
+            if where is None or where(bound_new, context):
                 group_key = self._group_key(bound_new, context)
                 group = self._groups.get(group_key)
                 if group is None:
@@ -470,10 +479,8 @@ class StandingQuery:
                     ])
                     self._groups[group_key] = group
                 values = [
-                    eval_expr(call.args[0], bound_new, context)
-                    if call.args and not isinstance(call.args[0], Star)
-                    else 1
-                    for call in self._unique_aggs
+                    1 if feed is None else feed(bound_new, context)
+                    for feed in self._feeds
                 ]
                 group.contributions[row_key] = values
                 for acc, value in zip(group.accs, values):
@@ -512,16 +519,17 @@ class StandingQuery:
                 call: acc.result()
                 for call, acc in zip(self._unique_aggs, group.accs)
             }
-        if select.having is not None and not eval_having(
-            select.having, representative, context, agg_values
+        group_context = replace(context, aggregates=agg_values)
+        if self._having is not None and not self._having(
+            representative, group_context
         ):
             if group_key in self.published:
                 del self.published[group_key]
                 return [{"action": "delete", "key": group_key, "row": None}]
             return []
         row = {
-            name: eval_expr(item.expr, representative, context, agg_values)
-            for name, item in zip(self._columns, select.items)
+            name: fn(representative, group_context)
+            for name, fn in zip(self._columns, self._projections)
         }
         if self.published.get(group_key) == row:
             return []

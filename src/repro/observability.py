@@ -228,7 +228,7 @@ def collect_report(env: Environment) -> ClusterReport:
         counters["plan_maintenance_cost"] = continuous.plan_maintenance_ms
     # Process-wide cache (shared across environments), documented as
     # such: the counters are cumulative for the process.
-    from .sql.executor import like_cache_stats
+    from .sql.compiled import like_cache_stats
 
     counters["like_cache_hits"], counters["like_cache_misses"] = \
         like_cache_stats()

@@ -12,8 +12,8 @@ candidates:
 * **broadcast hash join** — the build side is estimated small (sketch /
   zone-map estimates feed the chooser), built once and replicated to
   every node holding probe rows, which probe locally — during the
-  vectorized sweep via compiled key closures when the probe side is
-  the base table's scan payload;
+  scan sweep via compiled key closures when the probe side is the
+  base table's scan payload;
 * **shuffle-hash join** — the general fallback: both sides repartition
   by join key across the surviving nodes, which build and probe their
   slice in parallel;
@@ -53,7 +53,8 @@ from ..errors import QueryAbortedError
 from ..kvstore.indexes import EqProbe
 from ..sql.access import JoinCandidate, JoinPath, choose_join_path
 from ..sql.ast import Binary, Column, Literal, Select
-from ..sql.batch import compile_probe_key, run_broadcast_probe, run_fragment_batches
+from ..sql.batch import run_broadcast_probe, run_fragment_batches
+from ..sql.compiled import compile_expr
 from ..sql.executor import (
     EvalContext,
     bind_row,
@@ -459,7 +460,7 @@ class _PipelineRunner:
         #: holder node -> [(tag, bound row), ...] in tag order.
         self.left: dict[int, list] = {}
         #: holder node -> projected raw payload (base table only; feeds
-        #: the vectorized broadcast probe of step 0, then dropped).
+        #: the sweep broadcast probe of step 0, then dropped).
         self.raw_left: "dict[int, list] | None" = None
         self.scanned = 0
 
@@ -647,10 +648,9 @@ class _PipelineRunner:
         )
         entry = execution.entry_node
         compiled_probe = None
-        sweep = (index == 0 and self.raw_left is not None
-                 and service.vectorized_enabled)
+        sweep = index == 0 and self.raw_left is not None
         if sweep and step.probe is not None:
-            compiled_probe = compile_probe_key(
+            compiled_probe = compile_expr(
                 step.probe, self.join.base_binding
             )
         results: dict[int, list] = {}
@@ -747,11 +747,12 @@ class _PipelineRunner:
         transfer: dict[tuple[int, int], int] = {}
         build_counts: dict[int, int] = {}
         position = 0
+        build_key = _shuffle_key(step)
         for node_id in sorted(raw_by_node):
             for raw in raw_by_node[node_id]:
                 _tag, row = rights[position]
                 position += 1
-                key = _shuffle_key(step, row, self.context)
+                key = build_key(row, self.context)
                 if key is _SKIP:
                     continue
                 worker = worker_of(key)
@@ -765,9 +766,10 @@ class _PipelineRunner:
         # worker, where the probe re-raises or pads deterministically.
         lefts_by_worker: dict[int, list] = {}
         probe_counts: dict[int, int] = {}
+        probe_key = _shuffle_key(step, probe=True)
         for node_id in sorted(self.left):
             for tag, row in self.left[node_id]:
-                key = _shuffle_key(step, row, self.context, probe=True)
+                key = probe_key(row, self.context)
                 worker = workers[0] if key is _SKIP else worker_of(key)
                 lefts_by_worker.setdefault(worker, []).append((tag, row))
                 probe_counts[worker] = probe_counts.get(worker, 0) + 1
@@ -825,9 +827,10 @@ class _PipelineRunner:
         column = step.using[0] if step.using else step.build.name
         keys: list = []
         seen: set = set()
+        probe_key = _shuffle_key(step, probe=True)
         for node_id in sorted(self.left):
             for _tag, row in self.left[node_id]:
-                key = _shuffle_key(step, row, self.context, probe=True)
+                key = probe_key(row, self.context)
                 if key is _SKIP:
                     continue  # NULL / erroring keys cannot match
                 if step.using:
@@ -839,9 +842,9 @@ class _PipelineRunner:
         fragment = self.record.plan.fragments.get(step.table)
         if fragment is not None and fragment.is_passthrough:
             fragment = None
-        compiled = None
-        if fragment is not None and service.vectorized_enabled:
-            compiled, _hit = fragment.compiled_form()
+        compiled = (
+            fragment.compiled_form()[0] if fragment is not None else None
+        )
         nodes = sorted(service.cluster.surviving_node_ids())
         surviving: dict[int, list] = {}
 
@@ -860,7 +863,7 @@ class _PipelineRunner:
             if fragment is not None:
                 try:
                     lock_rows, payload, _batches = run_fragment_batches(
-                        fragment, compiled, candidates, self.context,
+                        compiled, candidates, self.context,
                         costs.scan_chunk_entries,
                     )
                 except Exception as exc:  # noqa: BLE001 — ship as the error
@@ -974,21 +977,28 @@ class _Skip:
 _SKIP = _Skip()
 
 
-def _shuffle_key(step: JoinFragment, row: dict, context: EvalContext,
-                 probe: bool = False):
-    """A row's join key for routing — ``_SKIP`` for NULL components or
+def _shuffle_key(step: JoinFragment, probe: bool = False):
+    """Compile the routing key of one join side: ``key(row, context)``
+    returns the row's join key, or ``_SKIP`` for NULL components or
     evaluation errors (the worker-side probe re-raises those with the
     right tag, so routing never has to)."""
     if step.using:
-        key = tuple(row.get(col) for col in step.using)
-        if any(part is None for part in key):
-            return _SKIP
-        return key
-    expr = step.probe if probe else step.build
-    try:
-        from ..sql.executor import _eval
+        using = step.using
 
-        key = _eval(expr, row, context, None)
-    except Exception:  # noqa: BLE001 — surfaced by the worker's probe
-        return _SKIP
-    return _SKIP if key is None else key
+        def using_key(row: dict, context: EvalContext):
+            key = tuple(row.get(col) for col in using)
+            if any(part is None for part in key):
+                return _SKIP
+            return key
+
+        return using_key
+    expr_key = compile_expr(step.probe if probe else step.build)
+
+    def expr_routing_key(row: dict, context: EvalContext):
+        try:
+            key = expr_key(row, context)
+        except Exception:  # noqa: BLE001 — surfaced by the worker's probe
+            return _SKIP
+        return _SKIP if key is None else key
+
+    return expr_routing_key

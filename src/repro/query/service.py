@@ -115,8 +115,8 @@ class QueryExecution:
         #: ``["central", ...]`` when the statement runs centrally).
         self.join_strategies: list[str] = []
         #: Simulated milliseconds billed to store servers for this
-        #: query's scan chunks — the scan-path latency the vectorized
-        #: ablation benchmarks compare.
+        #: query's scan chunks — the scan-path latency the benchmarks
+        #: compare.
         self.scan_ms_billed = 0.0
         self.entries_scanned = 0
         #: Entries billed to store scan servers (== entries_scanned for
@@ -194,8 +194,7 @@ class _ShardError:
     is timing-independent, and because the central executor sees rows in
     canonical node-id-sorted order, it is the same first error a fully
     central evaluation of the pushed conjuncts would raise — so
-    vectorized on/off and pushdown on/off stay bit-identical on erroring
-    workloads too.
+    pushdown on/off stay bit-identical on erroring workloads too.
     """
 
     error: Exception
@@ -253,7 +252,6 @@ class QueryService:
                  pushdown: bool | None = None,
                  indexes: bool | None = None,
                  sketches: bool | None = None,
-                 vectorized: bool | None = None,
                  shared_plans: bool | None = None,
                  distributed_joins: bool | None = None) -> None:
         """``repeatable_read`` holds key locks for whole live queries;
@@ -269,19 +267,15 @@ class QueryService:
         indexes maintained but never read.  ``sketches`` forces
         sketch-answered APPROX aggregates on or off (``None`` defers to
         ``CostModel.sketch_enabled``); off keeps sketches maintained but
-        falls back to the exact paths.  ``vectorized`` forces columnar
-        batch execution of scan fragments on or off (``None`` defers to
-        ``CostModel.vectorized_enabled``); off is the interpreted
-        per-row ablation baseline with bit-identical results.
-        ``shared_plans`` forces continuous-query plan deduplication on
-        or off (``None`` defers to ``CostModel.shared_plans_enabled``);
-        off gives every subscription a private standing plan — the
-        fan-out ablation baseline with bit-identical delivered
-        results.  ``distributed_joins`` forces the distributed join
-        pipeline on or off (``None`` defers to
-        ``CostModel.distributed_joins_enabled``); off is the central
-        ablation baseline that ships every joined table's rows to the
-        entry node, with bit-identical results."""
+        falls back to the exact paths.  ``shared_plans`` forces
+        continuous-query plan deduplication on or off (``None`` defers
+        to ``CostModel.shared_plans_enabled``); off gives every
+        subscription a private standing plan — the fan-out ablation
+        baseline with bit-identical delivered results.
+        ``distributed_joins`` forces the distributed join pipeline on or
+        off (``None`` defers to ``CostModel.distributed_joins_enabled``);
+        off is the central ablation baseline that ships every joined
+        table's rows to the entry node, with bit-identical results."""
         self.env = env
         self.sim = env.sim
         self.cluster = env.cluster
@@ -299,10 +293,6 @@ class QueryService:
         )
         self.sketch_enabled = (
             self.costs.sketch_enabled if sketches is None else sketches
-        )
-        self.vectorized_enabled = (
-            self.costs.vectorized_enabled if vectorized is None
-            else vectorized
         )
         self.shared_plans_enabled = (
             self.costs.shared_plans_enabled if shared_plans is None
@@ -439,26 +429,17 @@ class QueryService:
                     f"point lookup: {len(keys)} key(s) on "
                     f"{len(owners)} owner node(s)"
                 )
-        scan_mode = (
-            "scan execution: vectorized (columnar batches, "
-            "compile-once predicates)"
-            if self.vectorized_enabled
-            else "scan execution: interpreted per-row (ablation baseline)"
-        )
         if not self.pushdown_enabled:
             lines.append("distributed: ship all rows "
                          "(pushdown disabled)")
-            lines.append(scan_mode)
             lines.extend(self._explain_approx(select, table_kinds))
             return "\n".join(lines)
         if isinstance(select, Union):
             lines.append("distributed: ship all rows "
                          "(UNION runs centrally)")
-            lines.append(scan_mode)
             return "\n".join(lines)
         plan = split_select(select)
         lines.append("distributed: pushdown")
-        lines.append(scan_mode)
         lines.extend(render_distributed(select, plan))
         lines.extend(self._explain_access_paths(plan, table_kinds))
         lines.extend(explain_join_lines(self, select, plan, table_kinds))
@@ -1073,37 +1054,29 @@ class QueryService:
             self._shard_scanned(record, table_name, kind, node_id,
                                 entries, attempt, fetch, fragment, None)
             return
-        vectorized = self.vectorized_enabled
         # Pushed predicate / projection / partial-agg work happens while
         # the scan walks the entries, at a small per-entry surcharge.
         # Index-backed shards fetch candidates by key (index_entry_ms)
-        # instead of sweeping partitions; a vectorized sweep reads
-        # columns sequentially at the cheaper batch rate, with compiled
-        # closures cutting the per-entry fragment surcharge.
+        # instead of sweeping partitions; a sweep reads columns
+        # sequentially at the batch rate, with the fragment's compiled
+        # closures adding a per-entry surcharge.
         if shard.indexed:
             per_entry_ms = self.costs.index_entry_ms
-        elif vectorized:
-            per_entry_ms = self.costs.vectorized_scan_entry_ms
         else:
-            per_entry_ms = self.costs.scan_entry_ms
+            per_entry_ms = self.costs.vectorized_scan_entry_ms
         compiled = None
         compile_ms = 0.0
         if fragment is not None:
-            if vectorized:
-                per_entry_ms += self.costs.vectorized_filter_entry_ms
-                if fragment.partial is not None:
-                    per_entry_ms += self.costs.vectorized_partial_agg_entry_ms
-                compiled, cache_hit = fragment.compiled_form()
-                if cache_hit:
-                    counters["compile_cache_hits"] += 1
-                else:
-                    counters["predicates_compiled"] += len(fragment.pushed)
-                    compile_ms = self.costs.predicate_compile_ms
+            per_entry_ms += self.costs.vectorized_filter_entry_ms
+            if fragment.partial is not None:
+                per_entry_ms += self.costs.vectorized_partial_agg_entry_ms
+            compiled, cache_hit = fragment.compiled_form()
+            if cache_hit:
+                counters["compile_cache_hits"] += 1
             else:
-                per_entry_ms += self.costs.pushed_filter_entry_ms
-                if fragment.partial is not None:
-                    per_entry_ms += self.costs.partial_agg_entry_ms
-        chunk_fixed_ms = self.costs.batch_fixed_ms if vectorized else 0.0
+                counters["predicates_compiled"] += len(fragment.pushed)
+                compile_ms = self.costs.predicate_compile_ms
+        chunk_fixed_ms = self.costs.batch_fixed_ms
         chunk = self.costs.scan_chunk_entries
         chunks = max(1, -(-entries // chunk))
         node = self.cluster.node(node_id)
@@ -1126,8 +1099,7 @@ class QueryService:
                 # Probe-only chunks (index probes with zero candidates)
                 # assemble no batch and bill no batch overhead.
                 duration += chunk_fixed_ms
-                if vectorized:
-                    counters["batches_evaluated"] += 1
+                counters["batches_evaluated"] += 1
             if remaining == chunks:
                 # Index probes run before the first candidate fetch;
                 # fragment compilation (cache misses only) with them.
@@ -1343,8 +1315,8 @@ class QueryService:
         """Materialise this shard's rows *now*, run the pushed fragment
         against them, and ship only what survives.
 
-        ``compiled`` is the fragment's compiled closure form on the
-        vectorized path (``None`` runs the interpreted baseline)."""
+        ``compiled`` is the fragment's compiled closure form; it is
+        ``None`` for a provably-empty shard, which skips compilation."""
         execution = record.execution
         state = record.state
         lock_rows: list[dict] | None = None
@@ -1356,12 +1328,18 @@ class QueryService:
             )
         else:
             raws = fetch()
-            if fragment is not None:
+            if fragment is not None and compiled is None:
+                payload = (
+                    PartialGroups(entries=[])
+                    if fragment.partial is not None else []
+                )
+                lock_rows = []
+            elif fragment is not None:
                 try:
                     # Repeatable read locks exactly the rows the query
                     # observes: the survivors of the pushed predicates.
                     lock_rows, payload, _batches = run_fragment_batches(
-                        fragment, compiled, raws,
+                        compiled, raws,
                         EvalContext(now_ms=self.sim.now),
                         self.costs.scan_chunk_entries,
                     )

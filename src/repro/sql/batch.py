@@ -1,14 +1,14 @@
 """Columnar batch execution of scan fragments.
 
-The vectorized scan path compiles a :class:`~repro.sql.fragments.ScanFragment`
-once into :class:`CompiledFragment` — specialized closures for its pushed
-conjuncts, group keys, aggregate feeds, and projection — and then streams
-whole scan chunks through :class:`BatchAccumulator` instead of
-interpreting the AST per row.  Results are bit-identical to the
-interpreted :class:`~repro.sql.fragments.FragmentAccumulator`: the same
-surviving rows in the same order, the same partial-group insertion order
-and accumulator states, and — when a pushed expression fails — the same
-first error the row-major interpreted sweep would have raised.
+Every shard scan compiles its :class:`~repro.sql.fragments.ScanFragment`
+once into :class:`CompiledFragment` — closures for its pushed
+conjuncts, group keys, aggregate feeds, and projection, built by the
+one expression evaluator in :mod:`repro.sql.compiled` — and then
+streams whole scan chunks through :class:`BatchAccumulator`.  Results
+equal what the central executor computes from the same rows: the same
+surviving rows in the same order, the same partial-group insertion
+order and accumulator states, and — when a pushed expression fails —
+the first error a row-by-row sweep would have raised.
 
 Compiled fragments are cached process-wide in an LRU keyed by the frozen
 fragment itself, so a query shape recurring across shards, retries, and
@@ -17,10 +17,15 @@ submissions compiles exactly once.
 
 from __future__ import annotations
 
-from .ast import Star
-from .compiled import CompiledExpr, compile_expr, compile_predicate, compile_projection
-from .executor import EvalContext, hashable_key, new_group_accs
-from .fragments import FragmentAccumulator, PartialGroups, ScanFragment
+from .compiled import (
+    CompiledExpr,
+    EvalContext,
+    compile_expr,
+    compile_predicate,
+    compile_projection,
+)
+from .executor import aggregate_feeds, hashable_key, new_group_accs
+from .fragments import PartialGroups, ScanFragment
 from .lru import LruCache
 
 
@@ -44,13 +49,8 @@ class CompiledFragment:
             self.group_keys: tuple[CompiledExpr, ...] = tuple(
                 compile_expr(expr, binding) for expr in partial.group_by
             )
-            # One feed per aggregate call: a compiled argument closure,
-            # or None for COUNT(*)-style calls that accumulate 1.
             self.agg_feeds: tuple[CompiledExpr | None, ...] = tuple(
-                compile_expr(call.args[0], binding)
-                if call.args and not isinstance(call.args[0], Star)
-                else None
-                for call in partial.calls
+                aggregate_feeds(partial.calls, binding)
             )
             self.calls = list(partial.calls)
             self.rep_columns = partial.rep_columns
@@ -90,15 +90,15 @@ def fragment_cache_stats() -> tuple[int, int]:
 
 
 class BatchAccumulator:
-    """Columnar counterpart of :class:`FragmentAccumulator`.
+    """Per-(table, node, attempt) scan-side state of one fragment.
 
     Feeds whole chunks: predicates run conjunct-major over the chunk
-    (each conjunct only over the survivors of the previous one, exactly
-    like the interpreted early-exit), then survivors fold into groups or
-    projected rows in row order.  Errors raised by compiled expressions
-    are collected per row and the minimal-row error is re-raised at the
-    end of the chunk — the same error the interpreted row-major sweep
-    surfaces first.
+    (each conjunct only over the survivors of the previous one, so a
+    row a conjunct eliminates never reaches a later one), then
+    survivors fold into groups or projected rows in row order.  Errors
+    raised by compiled expressions are collected per row and the
+    minimal-row error is re-raised at the end of the chunk — the error
+    a row-major sweep surfaces first.
     """
 
     def __init__(self, compiled: CompiledFragment,
@@ -138,7 +138,7 @@ class BatchAccumulator:
                 surviving_raws.append(raw)
                 self.survived += 1
         if errors:
-            # The interpreted sweep stops at the first erroring row; the
+            # A row-major sweep stops at the first erroring row; the
             # batch path reproduces exactly that error.
             raise errors[min(errors)]
         return surviving_raws
@@ -187,46 +187,27 @@ class BatchAccumulator:
 
 
 def run_fragment_batches(
-    fragment: ScanFragment,
-    compiled: CompiledFragment | None,
+    compiled: CompiledFragment,
     raws: list[dict],
     context: EvalContext,
     chunk_entries: int,
 ) -> tuple[list[dict], "list[dict] | PartialGroups", int]:
-    """Run a whole shard's rows through the fragment.
+    """Run a whole shard's rows through the compiled fragment in
+    ``chunk_entries``-sized chunks.
 
-    Returns ``(surviving_raws, payload, batches)``.  With a compiled
-    fragment the rows stream through :class:`BatchAccumulator` in
-    ``chunk_entries``-sized chunks; otherwise the interpreted
-    :class:`FragmentAccumulator` baseline runs row by row.  Both raise
-    the same first error for the same rows.
+    Returns ``(surviving_raws, payload, batches)``.
     """
-    if compiled is not None:
-        accumulator = BatchAccumulator(compiled, context)
-        lock_rows: list[dict] = []
-        chunk = max(1, chunk_entries)
-        batches = 0
-        for start in range(0, len(raws), chunk):
-            lock_rows.extend(accumulator.add_batch(raws[start:start + chunk]))
-            batches += 1
-        return lock_rows, accumulator.payload(), batches
-    interpreted = FragmentAccumulator(fragment, context)
-    lock_rows = [raw for raw in raws if interpreted.add(raw)]
-    return lock_rows, interpreted.payload(), 0
+    accumulator = BatchAccumulator(compiled, context)
+    lock_rows: list[dict] = []
+    chunk = max(1, chunk_entries)
+    batches = 0
+    for start in range(0, len(raws), chunk):
+        lock_rows.extend(accumulator.add_batch(raws[start:start + chunk]))
+        batches += 1
+    return lock_rows, accumulator.payload(), batches
 
 
-# -- broadcast probe inside the vectorized sweep -----------------------------
-
-
-def compile_probe_key(probe_expr, binding: str) -> CompiledExpr:
-    """Compile a broadcast join's probe-key expression once per query.
-
-    The closure evaluates against *raw* (projected, unbound) rows with
-    the same binding-aware column resolution the compiled predicates
-    use, so the key equals what the central path computes on the bound
-    row — including the error it would raise.
-    """
-    return compile_expr(probe_expr, binding)
+# -- broadcast probe inside the scan sweep -----------------------------------
 
 
 def run_broadcast_probe(
@@ -246,9 +227,8 @@ def run_broadcast_probe(
     order; each becomes a tagged bound row ``((node_tag + (position,)),
     merged)`` exactly as :func:`repro.sql.executor.probe_join_index`
     would emit it.  The probe key runs through the compiled closure —
-    this is the "probed during the vectorized sweep" half of the
-    broadcast strategy; the interpreted ablation takes the
-    ``probe_join_index`` path in the coordinator instead.  Errors are
+    this is the "probed during the scan sweep" half of the broadcast
+    strategy.  Errors are
     captured with their row tag (not raised): scan errors of other
     tables and build errors outrank probe errors, and only the
     coordinator sees all of them.

@@ -16,6 +16,25 @@ def incomparable(left: object, right: object) -> SqlExecutionError:
     )
 
 
+#: The Python types SQL arithmetic and numeric functions accept (``bool``
+#: is an ``int`` subclass and counts as 0/1).
+NUMBERS = (int, float)
+
+
+def bad_operands(op: str, *values: object) -> SqlExecutionError:
+    """The error for an arithmetic operator, numeric function or numeric
+    aggregate applied to a value that is not a number."""
+    types = " and ".join(type(value).__name__ for value in values)
+    return SqlExecutionError(f"cannot apply {op} to {types}")
+
+
+def _number(name: str, value: object) -> object:
+    """``value`` if it is a number or NULL; otherwise the typed error."""
+    if value is not None and not isinstance(value, NUMBERS):
+        raise bad_operands(name, value)
+    return value
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SqlExecutionError(message)
@@ -41,28 +60,30 @@ def _scalar_length(args: list[object]) -> object:
 
 def _scalar_abs(args: list[object]) -> object:
     _require(len(args) == 1, "ABS takes one argument")
-    value = args[0]
+    value = _number("ABS", args[0])
     return None if value is None else abs(value)
 
 
 def _scalar_round(args: list[object]) -> object:
     _require(len(args) in (1, 2), "ROUND takes one or two arguments")
-    value = args[0]
+    value = _number("ROUND", args[0])
     if value is None:
         return None
-    digits = args[1] if len(args) == 2 else 0
+    digits = _number("ROUND", args[1]) if len(args) == 2 else 0
+    if digits is None:
+        return None
     return round(value, int(digits))
 
 
 def _scalar_floor(args: list[object]) -> object:
     _require(len(args) == 1, "FLOOR takes one argument")
-    value = args[0]
+    value = _number("FLOOR", args[0])
     return None if value is None else math.floor(value)
 
 
 def _scalar_ceil(args: list[object]) -> object:
     _require(len(args) == 1, "CEIL takes one argument")
-    value = args[0]
+    value = _number("CEIL", args[0])
     return None if value is None else math.ceil(value)
 
 
@@ -80,8 +101,11 @@ def _scalar_nullif(args: list[object]) -> object:
 
 def _scalar_sqrt(args: list[object]) -> object:
     _require(len(args) == 1, "SQRT takes one argument")
-    value = args[0]
-    return None if value is None else math.sqrt(value)
+    value = _number("SQRT", args[0])
+    if value is None:
+        return None
+    _require(value >= 0, "SQRT of a negative number")
+    return math.sqrt(value)
 
 
 SCALAR_FUNCTIONS: dict[str, Callable[[list[object]], object]] = {
@@ -152,7 +176,7 @@ class SumAggregate(Aggregate):
         self._seen: set | None = set() if distinct else None
 
     def add(self, value: object) -> None:
-        if value is None:
+        if _number("SUM", value) is None:
             return
         if self._seen is not None:
             if value in self._seen:
@@ -185,7 +209,7 @@ class AvgAggregate(Aggregate):
         self._seen: set | None = set() if distinct else None
 
     def add(self, value: object) -> None:
-        if value is None:
+        if _number("AVG", value) is None:
             return
         if self._seen is not None:
             if value in self._seen:

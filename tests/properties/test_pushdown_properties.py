@@ -60,8 +60,7 @@ def test_random_data_on_off_equivalence(seed):
         assert lhs.result.rows == rhs.result.rows, sql
 
 
-#: Slow scans widen the mid-scan window failure injection lands in
-#: (both scan paths, so the window is wide whichever gate is active).
+#: Slow scans widen the mid-scan window failure injection lands in.
 SLOW_SCANS = CostModel(scan_entry_ms=0.05,
                        vectorized_scan_entry_ms=0.05)
 TIMEOUT_MS = 2_000.0

@@ -1,10 +1,10 @@
-"""Tests for the vectorized columnar scan path in the query service.
+"""Tests for the columnar scan path in the query service.
 
-Covers the ``vectorized=`` ablation gate, the new execution counters
-and their report rollup, the zero-entry shard fast path (which must
-neither bill a chunk nor occupy a store server), and scan-side error
-shipping (errors surface on the handle with every lock released, on
-both scan paths).
+Covers scan billing and the execution counters with their report
+rollup, the zero-entry shard fast path (which must neither bill a chunk
+nor occupy a store server), and scan-side error shipping (errors surface
+on the handle with every lock released, with pushdown on and off, and
+verbatim-identical to the central executor).
 """
 
 import pytest
@@ -14,15 +14,16 @@ from repro.env import Environment
 from repro.errors import SqlExecutionError
 from repro.observability import collect_report, format_report
 from repro.query.service import QueryService
+from repro.sql import EvalContext, execute_select, parse
+from repro.sql.planner import DictCatalog, ListTable
 from repro.state.live import LiveStateTable
 
 NODES = 3
 
 
-def build_env(keys=120, costs=None):
+def build_env(keys=120):
     env = Environment(
         ClusterConfig(nodes=NODES, processing_workers_per_node=1),
-        costs=costs,
     )
     imap = env.store.create_map("data")
     env.store.register_live_table("data", LiveStateTable(imap))
@@ -38,26 +39,33 @@ def store_jobs_served(env) -> int:
                for server in node.store_servers)
 
 
-# -- the ablation gate -------------------------------------------------------
+# -- the scan-path gate ------------------------------------------------------
 
 
 def test_gate_defaults_to_cost_model():
+    # pushdown is the one gate left on the scan path: off ships every
+    # raw row to the entry node (the reference path).
     env = build_env()
-    assert QueryService(env).vectorized_enabled is True
-    assert QueryService(env, vectorized=False).vectorized_enabled is False
-    off_costs = CostModel(vectorized_enabled=False)
-    env2 = build_env(costs=off_costs)
-    assert QueryService(env2).vectorized_enabled is False
-    assert QueryService(env2, vectorized=True).vectorized_enabled is True
+    assert QueryService(env).pushdown_enabled is True
+    assert QueryService(env, pushdown=False).pushdown_enabled is False
+    env2 = Environment(
+        ClusterConfig(nodes=NODES, processing_workers_per_node=1),
+        costs=CostModel(pushdown_enabled=False),
+    )
+    assert QueryService(env2).pushdown_enabled is False
+    assert QueryService(env2, pushdown=True).pushdown_enabled is True
+
+
+# -- explain -----------------------------------------------------------------
 
 
 def test_explain_names_the_scan_mode():
     env = build_env()
-    on = QueryService(env, vectorized=True)
-    off = QueryService(env, vectorized=False)
     sql = 'SELECT v FROM "data" WHERE v < 3'
-    assert "vectorized" in on.explain(sql)
-    assert "interpreted" in off.explain(sql)
+    pushed = QueryService(env).explain(sql)
+    assert "pushed filter: (v < 3)" in pushed
+    assert "access path [data]: full scan" in pushed
+    assert "ship all rows" in QueryService(env, pushdown=False).explain(sql)
 
 
 # -- counters and report rollup ----------------------------------------------
@@ -65,7 +73,7 @@ def test_explain_names_the_scan_mode():
 
 def test_vectorized_execution_counts_batches_and_compiles():
     env = build_env()
-    service = QueryService(env, vectorized=True)
+    service = QueryService(env)
     execution = service.execute(
         'SELECT g, COUNT(*) AS c FROM "data" WHERE v < 8 GROUP BY g'
     )
@@ -78,20 +86,9 @@ def test_vectorized_execution_counts_batches_and_compiles():
         == counters["batches_evaluated"]
 
 
-def test_interpreted_execution_never_touches_the_compiled_path():
-    env = build_env()
-    service = QueryService(env, vectorized=False)
-    execution = service.execute('SELECT v FROM "data" WHERE v < 3')
-    assert execution.error is None
-    assert execution.counters["batches_evaluated"] == 0
-    assert execution.counters["predicates_compiled"] == 0
-    assert execution.counters["compile_cache_hits"] == 0
-    assert execution.scan_ms_billed > 0  # interpreted scans still bill
-
-
 def test_report_rolls_up_columnar_counters():
     env = build_env()
-    service = QueryService(env, vectorized=True)
+    service = QueryService(env)
     service.execute('SELECT COUNT(*) AS c FROM "data" WHERE v < 9')
     report = collect_report(env)
     assert report.batches_evaluated \
@@ -100,18 +97,20 @@ def test_report_rolls_up_columnar_counters():
 
 
 def test_vectorized_scan_bills_less_than_interpreted():
-    results = {}
-    for vectorized in (True, False):
-        env = build_env(keys=400)
-        service = QueryService(env, vectorized=vectorized)
-        execution = service.execute(
-            'SELECT COUNT(*) AS c FROM "data" WHERE v < 9'
-        )
-        results[vectorized] = execution
-    on, off = results[True], results[False]
-    assert on.result.rows == off.result.rows
-    assert off.scan_ms_billed >= on.scan_ms_billed * 2.0
-    assert on.latency_ms < off.latency_ms
+    # The per-row interpreted scan this path replaced billed every entry
+    # at scan_entry_ms plus the pushed-filter and partial-aggregate
+    # surcharges — the rates the access-path chooser still prices.
+    env = build_env(keys=400)
+    sql = 'SELECT COUNT(*) AS c FROM "data" WHERE v < 9'
+    execution = QueryService(env).execute(sql)
+    reference = QueryService(env, pushdown=False).execute(sql)
+    assert execution.result.rows == reference.result.rows == [{"c": 360}]
+    costs = env.costs
+    interpreted_ms = execution.entries_billed * (
+        costs.scan_entry_ms + costs.pushed_filter_entry_ms
+        + costs.partial_agg_entry_ms
+    )
+    assert interpreted_ms >= execution.scan_ms_billed * 2.0
 
 
 # -- zero-entry shards (regression) ------------------------------------------
@@ -151,18 +150,18 @@ def test_contradictory_key_filter_bills_nothing():
 
 def test_key_range_bills_identically_across_scan_paths():
     # The billed-entry count is a pure function of shard candidate
-    # selection — identical whichever scan path executes the rest.
+    # selection — identical with pushdown on and off.
     billed = {}
-    for vectorized in (True, False):
+    for pushdown in (True, False):
         env = build_env()
-        service = QueryService(env, vectorized=vectorized)
+        service = QueryService(env, pushdown=pushdown)
         execution = service.execute(
             'SELECT v FROM "data" WHERE key BETWEEN 0 AND 3 '
             "ORDER BY key"
         )
         assert execution.error is None
         assert [row["v"] for row in execution.result.rows] == [0, 1, 2, 3]
-        billed[vectorized] = execution.entries_billed
+        billed[pushdown] = execution.entries_billed
     assert billed[True] == billed[False]
     assert billed[True] > 0
 
@@ -170,12 +169,12 @@ def test_key_range_bills_identically_across_scan_paths():
 # -- scan-side errors --------------------------------------------------------
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_pushed_predicate_error_surfaces_and_releases_locks(vectorized):
+@pytest.mark.parametrize("pushdown", [True, False])
+def test_pushed_predicate_error_surfaces_and_releases_locks(pushdown):
     env = build_env()
     env.store.get_map("data").put(999, {"v": "poison", "g": 0,
                                         "s": "s-0"})
-    service = QueryService(env, vectorized=vectorized)
+    service = QueryService(env, pushdown=pushdown)
     execution = service.submit('SELECT v FROM "data" WHERE v < 3')
     env.run_for(5_000)
     assert execution.done
@@ -192,13 +191,15 @@ def error_of(env, sql, **service_kwargs):
 
 
 def test_error_message_identical_across_scan_paths_and_central():
-    envs = {v: build_env() for v in (True, False)}
-    for env in envs.values():
-        env.store.get_map("data").put(999, {"v": "poison", "g": 0,
-                                            "s": "s-0"})
+    env = build_env()
+    env.store.get_map("data").put(999, {"v": "poison", "g": 0,
+                                        "s": "s-0"})
     sql = 'SELECT v FROM "data" WHERE v < 3'
-    on = error_of(envs[True], sql, vectorized=True)
-    off = error_of(envs[False], sql, vectorized=False)
-    central = error_of(envs[False], sql, pushdown=False)
-    assert on == off == central
+    on = error_of(env, sql)
+    off = error_of(env, sql, pushdown=False)
+    rows = tuple(env.store.get_live_table("data").rows())
+    catalog = DictCatalog({"data": ListTable("data", rows)})
+    with pytest.raises(SqlExecutionError) as excinfo:
+        execute_select(parse(sql), catalog, EvalContext())
+    assert on == off == str(excinfo.value)
     assert "cannot compare" in on

@@ -1,9 +1,9 @@
 """Tests for columnar batch execution (repro.sql.batch).
 
-The batch path must be bit-identical to the interpreted
-``FragmentAccumulator``: same survivors in the same order, same
-partial-group contents, and the same first error when a pushed
-expression fails.
+The batch path must agree with the central executor run over the same
+rows (the row-at-a-time reference, called "interpreted" in the test
+names): same survivors in the same order, same merged partial groups,
+and the same first error when a pushed expression fails.
 """
 
 import pytest
@@ -16,13 +16,9 @@ from repro.sql.batch import (
     fragment_cache_stats,
     run_fragment_batches,
 )
-from repro.sql.executor import execute_grouped_select
-from repro.sql.fragments import (
-    FragmentAccumulator,
-    PartialGroups,
-    merge_partial_groups,
-    split_select,
-)
+from repro.sql.executor import execute_grouped_select, execute_select
+from repro.sql.fragments import PartialGroups, merge_partial_groups, split_select
+from repro.sql.planner import DictCatalog, ListTable
 
 CTX = EvalContext(now_ms=0.0)
 
@@ -38,10 +34,10 @@ def fragment_of(sql: str):
     return plan, plan.fragment("t")
 
 
-def interpreted_run(fragment, raws):
-    acc = FragmentAccumulator(fragment, CTX)
-    lock_rows = [raw for raw in raws if acc.add(raw)]
-    return lock_rows, acc.payload()
+def central(sql, raws):
+    """The central executor's result over ``raws`` as table ``t``."""
+    catalog = DictCatalog({"t": ListTable("t", tuple(raws))})
+    return execute_select(parse(sql), catalog, CTX)
 
 
 def groups_as_rows(plan, payload):
@@ -51,16 +47,17 @@ def groups_as_rows(plan, payload):
 
 @pytest.mark.parametrize("chunk", [1, 4, 7, 100])
 def test_projection_fragment_matches_interpreted(chunk):
-    plan, fragment = fragment_of(
-        'SELECT key, value FROM "t" WHERE value < 3 AND key > 2'
-    )
+    sql = 'SELECT key, value FROM "t" WHERE value < 3 AND key > 2'
+    plan, fragment = fragment_of(sql)
     compiled, _ = compile_fragment(fragment)
     lock_rows, payload, batches = run_fragment_batches(
-        fragment, compiled, ROWS, CTX, chunk
+        compiled, ROWS, CTX, chunk
     )
-    expected_locks, expected_payload = interpreted_run(fragment, ROWS)
-    assert lock_rows == expected_locks
-    assert payload == expected_payload
+    expected = central(sql, ROWS).rows
+    assert [row["key"] for row in lock_rows] == \
+        [row["key"] for row in expected]
+    assert [{k: row[k] for k in ("key", "value")} for row in payload] \
+        == expected
     assert batches == (len(ROWS) + chunk - 1) // chunk
 
 
@@ -72,17 +69,16 @@ def test_partial_aggregate_fragment_matches_interpreted(chunk):
     plan, fragment = fragment_of(sql)
     compiled, _ = compile_fragment(fragment)
     lock_rows, payload, _ = run_fragment_batches(
-        fragment, compiled, ROWS, CTX, chunk
+        compiled, ROWS, CTX, chunk
     )
-    expected_locks, expected_payload = interpreted_run(fragment, ROWS)
-    assert lock_rows == expected_locks
+    survivors = [raw for raw in ROWS if raw["value"] != 1]
+    assert lock_rows == survivors
     assert isinstance(payload, PartialGroups)
-    # Group insertion order and representative rows match exactly...
-    assert [(key, rep) for key, rep, _ in payload.entries] == \
-        [(key, rep) for key, rep, _ in expected_payload.entries]
-    # ...and the merged final result is identical.
-    assert groups_as_rows(plan, payload) == \
-        groups_as_rows(plan, expected_payload)
+    # Groups appear in first-seen row order...
+    assert [key for key, _, _ in payload.entries] == \
+        list(dict.fromkeys((raw["weight"],) for raw in survivors))
+    # ...and the merged final result is the central one.
+    assert groups_as_rows(plan, payload) == central(sql, ROWS).rows
 
 
 def test_null_heavy_group_keys_match():
@@ -90,22 +86,10 @@ def test_null_heavy_group_keys_match():
            "ORDER BY c")
     plan, fragment = fragment_of(sql)
     compiled, _ = compile_fragment(fragment)
-    _, payload, _ = run_fragment_batches(fragment, compiled, ROWS, CTX, 5)
-    _, expected = interpreted_run(fragment, ROWS)
+    _, payload, _ = run_fragment_batches(compiled, ROWS, CTX, 5)
     assert [entry[0] for entry in payload.entries] == \
-        [entry[0] for entry in expected.entries]
-    assert groups_as_rows(plan, payload) == groups_as_rows(plan, expected)
-
-
-def test_interpreted_fallback_when_not_compiled():
-    plan, fragment = fragment_of('SELECT key FROM "t" WHERE value = 0')
-    lock_rows, payload, batches = run_fragment_batches(
-        fragment, None, ROWS, CTX, 4
-    )
-    expected_locks, expected_payload = interpreted_run(fragment, ROWS)
-    assert lock_rows == expected_locks
-    assert payload == expected_payload
-    assert batches == 0
+        [("alpha",), ("beta",), (None,)]
+    assert groups_as_rows(plan, payload) == central(sql, ROWS).rows
 
 
 def error_rows():
@@ -117,38 +101,37 @@ def error_rows():
 
 @pytest.mark.parametrize("chunk", [1, 4, 100])
 def test_first_error_matches_interpreted_sweep(chunk):
-    _, fragment = fragment_of('SELECT key FROM "t" WHERE value < 3')
+    sql = 'SELECT key FROM "t" WHERE value < 3'
+    _, fragment = fragment_of(sql)
     compiled, _ = compile_fragment(fragment)
     rows = error_rows()
     with pytest.raises(SqlExecutionError) as interpreted_error:
-        interpreted_run(fragment, rows)
+        central(sql, rows)
     with pytest.raises(SqlExecutionError) as batch_error:
-        run_fragment_batches(fragment, compiled, rows, CTX, chunk)
+        run_fragment_batches(compiled, rows, CTX, chunk)
     assert str(batch_error.value) == str(interpreted_error.value)
     assert "cannot compare str with int" in str(batch_error.value)
 
 
 def test_error_in_aggregate_feed_matches_interpreted():
-    _, fragment = fragment_of(
-        'SELECT weight, SUM(value) AS s FROM "t" GROUP BY weight'
-    )
+    sql = 'SELECT weight, SUM(value) AS s FROM "t" GROUP BY weight'
+    _, fragment = fragment_of(sql)
     compiled, _ = compile_fragment(fragment)
     rows = [dict(raw) for raw in ROWS]
     del rows[7]["value"]  # unknown column mid-chunk
     with pytest.raises(SqlExecutionError) as interpreted_error:
-        interpreted_run(fragment, rows)
+        central(sql, rows)
     with pytest.raises(SqlExecutionError) as batch_error:
-        run_fragment_batches(fragment, compiled, rows, CTX, 10)
+        run_fragment_batches(compiled, rows, CTX, 10)
     assert str(batch_error.value) == str(interpreted_error.value)
 
 
 def test_eliminated_rows_never_error():
     # A row killed by an earlier conjunct must not surface errors from
-    # later conjuncts — conjunct-major order preserves the interpreted
-    # early-exit exactly.
-    _, fragment = fragment_of(
-        'SELECT key FROM "t" WHERE value < 2 AND pad / value > 0'
-    )
+    # later conjuncts — conjunct-major order preserves the row-at-a-time
+    # early exit exactly.
+    sql = 'SELECT key FROM "t" WHERE value < 2 AND pad / value > 0'
+    _, fragment = fragment_of(sql)
     compiled, _ = compile_fragment(fragment)
     rows = [
         {"key": 0, "partitionKey": 0, "value": 0, "pad": 10},  # v<2, /0!
@@ -156,9 +139,9 @@ def test_eliminated_rows_never_error():
         {"key": 2, "partitionKey": 2, "value": 1, "pad": 10},
     ]
     with pytest.raises(SqlExecutionError) as interpreted_error:
-        interpreted_run(fragment, rows)
+        central(sql, rows)
     with pytest.raises(SqlExecutionError) as batch_error:
-        run_fragment_batches(fragment, compiled, rows, CTX, 10)
+        run_fragment_batches(compiled, rows, CTX, 10)
     assert str(batch_error.value) == str(interpreted_error.value)
     assert "division by zero" in str(batch_error.value)
 

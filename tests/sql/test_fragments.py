@@ -1,9 +1,9 @@
 """Tests for distributed plan splitting (repro.sql.fragments)."""
 
 from repro.sql import EvalContext, parse
-from repro.sql.executor import _LIKE_CACHE, _like_regex
+from repro.sql.batch import compile_fragment, run_fragment_batches
+from repro.sql.compiled import _LIKE_CACHE, like_regex
 from repro.sql.fragments import (
-    FragmentAccumulator,
     KeyRange,
     KeySet,
     PartialGroups,
@@ -178,14 +178,20 @@ ROWS = [
 ]
 
 
+def scan(fragment, raws, context):
+    """One shard's ``(survivors, payload)`` for ``fragment``."""
+    compiled, _ = compile_fragment(fragment)
+    survivors, payload, _ = run_fragment_batches(compiled, raws, context, 5)
+    return survivors, payload
+
+
 def test_fragment_accumulator_filters_and_projects():
     plan = split_select(parse(
         'SELECT key, value FROM "t" WHERE value = 1'
     ))
-    acc = FragmentAccumulator(plan.fragment("t"), EvalContext(now_ms=0))
-    survivors = [raw for raw in ROWS if acc.add(raw)]
+    survivors, payload = scan(plan.fragment("t"), ROWS,
+                              EvalContext(now_ms=0))
     assert [row["key"] for row in survivors] == [1, 5, 9]
-    payload = acc.payload()
     assert all("pad" not in row for row in payload)
     assert all(set(row) == {"key", "value"} for row in payload)
 
@@ -199,12 +205,10 @@ def test_partial_groups_merge_matches_central_execution():
     plan = split_select(parse(sql))
     context = EvalContext(now_ms=0)
     # Two "nodes", each scanning half the rows.
-    payloads = []
-    for shard in (ROWS[:6], ROWS[6:]):
-        acc = FragmentAccumulator(plan.fragment("t"), context)
-        for raw in shard:
-            acc.add(raw)
-        payloads.append(acc.payload())
+    payloads = [
+        scan(plan.fragment("t"), shard, context)[1]
+        for shard in (ROWS[:6], ROWS[6:])
+    ]
     assert all(isinstance(p, PartialGroups) for p in payloads)
     groups = merge_partial_groups(payloads, plan.partial, "t")
 
@@ -225,10 +229,7 @@ def test_merge_is_idempotent_for_repeated_merges_of_fresh_state():
     sql = 'SELECT SUM(value) AS s, COUNT(*) AS c FROM "t"'
     plan = split_select(parse(sql))
     context = EvalContext(now_ms=0)
-    acc = FragmentAccumulator(plan.fragment("t"), context)
-    for raw in ROWS:
-        acc.add(raw)
-    payloads = [acc.payload()]
+    payloads = [scan(plan.fragment("t"), ROWS, context)[1]]
     first = merge_partial_groups(payloads, plan.partial, "t")
     second = merge_partial_groups(payloads, plan.partial, "t")
     from repro.sql.executor import execute_grouped_select
@@ -242,8 +243,8 @@ def test_merge_is_idempotent_for_repeated_merges_of_fresh_state():
 
 def test_like_regex_is_cached_and_correct():
     _LIKE_CACHE.clear()
-    pattern = _like_regex("ab%_d")
-    assert _like_regex("ab%_d") is pattern  # cached instance
+    pattern = like_regex("ab%_d")
+    assert like_regex("ab%_d") is pattern  # cached instance
     assert pattern.fullmatch("abXYZcd")
     assert pattern.fullmatch("abcd")  # % matches empty, _ exactly one
     assert not pattern.fullmatch("abd")

@@ -113,3 +113,21 @@ def test_scalar_function_arity_checked():
         SCALAR_FUNCTIONS["UPPER"](["a", "b"])
     with pytest.raises(SqlExecutionError):
         SCALAR_FUNCTIONS["NULLIF"]([1])
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("ABS", ["x"], "cannot apply ABS to str"),
+    ("ROUND", ["x"], "cannot apply ROUND to str"),
+    ("ROUND", [2.5, "x"], "cannot apply ROUND to str"),
+    ("FLOOR", ["x"], "cannot apply FLOOR to str"),
+    ("CEIL", ["x"], "cannot apply CEIL to str"),
+    ("SQRT", ["x"], "cannot apply SQRT to str"),
+    ("SQRT", [-1], "SQRT of a negative number"),
+])
+def test_numeric_functions_reject_bad_arguments(name, args, message):
+    with pytest.raises(SqlExecutionError, match=message):
+        SCALAR_FUNCTIONS[name](args)
+
+
+def test_round_with_null_digits_is_null():
+    assert SCALAR_FUNCTIONS["ROUND"]([2.5, None]) is None

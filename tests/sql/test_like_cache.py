@@ -13,7 +13,7 @@ import pytest
 from repro.config import ClusterConfig, CostModel
 from repro.env import Environment
 from repro.errors import ConfigurationError
-from repro.sql.executor import (
+from repro.sql.compiled import (
     _LIKE_CACHE,
     like_cache_stats,
     match_like,
